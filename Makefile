@@ -3,11 +3,12 @@
 # race detector + the chaos (fault-injection) suite + the crash-recovery
 # suite + a fuzz smoke of the SGML parsers and the WAL record decoder +
 # the network-service smoke (real sgmldbd process, load-generator burst,
-# clean drain) + a smoke run of every benchmark.
+# clean drain) + a smoke run of every benchmark + a build and test of the
+# perfbench module.
 
 GO ?= go
 
-.PHONY: all build vet vet-fix-baseline test race bench fuzz chaos crash fsck smoke ci
+.PHONY: all build vet vet-fix-baseline test race bench fuzz chaos crash fsck smoke perfbench size ci
 
 all: build
 
@@ -75,6 +76,18 @@ fsck:
 smoke:
 	sh scripts/service_smoke.sh
 
+# The repository benchmark (perfbench/, BENCHMARK.json) is a module of
+# its own built against this source, so the root `go build ./...` never
+# compiles it: vet and test it here, so a facade change that breaks the
+# benchmark fails CI instead of benchmark time.
+perfbench:
+	cd perfbench && $(GO) vet ./... && $(GO) test ./...
+
+# The size metrics ROADMAP.md tracks: non-test Go lines of the root
+# module and the exported symbols of sgmldb and internal/service.
+size:
+	sh scripts/size.sh
+
 ci:
 	$(GO) vet ./...
 	$(GO) run ./cmd/sgmldbvet -baseline vet_baseline.json -json ./... > vet_findings.json
@@ -86,3 +99,4 @@ ci:
 	$(MAKE) fuzz
 	$(MAKE) smoke
 	$(GO) test -run='^$$' -bench=. -benchtime=1x .
+	$(MAKE) perfbench

@@ -18,6 +18,7 @@ package sgmldb
 // Run with: go test -bench=. -benchmem
 
 import (
+	"bytes"
 	"fmt"
 	"testing"
 
@@ -29,6 +30,7 @@ import (
 	"sgmldb/internal/path"
 	"sgmldb/internal/store"
 	"sgmldb/internal/text"
+	"sgmldb/internal/wal"
 )
 
 // benchDB caches corpora across benchmarks (building is itself B4).
@@ -271,17 +273,19 @@ func BenchmarkLoad(b *testing.B) {
 	}
 }
 
-// BenchmarkSnapshot measures snapshot serialisation round trips.
+// BenchmarkSnapshot measures round trips of the on-disk image — the
+// checkpoint codec Save and OpenSnapshot use — through memory.
 func BenchmarkSnapshot(b *testing.B) {
 	db := articlesDB(b, 10)
-	dir := b.TempDir()
-	path := dir + "/bench.snap"
+	ck := &wal.Checkpoint{DTD: corpus.ArticleDTD, Inst: db.Loader.Instance, Index: db.Index}
+	var buf bytes.Buffer
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if err := store.SaveFile(path, db.Loader.Instance); err != nil {
+		buf.Reset()
+		if err := wal.EncodeCheckpoint(&buf, ck); err != nil {
 			b.Fatal(err)
 		}
-		if _, err := store.LoadFile(path); err != nil {
+		if _, err := wal.DecodeCheckpoint(&buf); err != nil {
 			b.Fatal(err)
 		}
 	}

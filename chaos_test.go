@@ -253,8 +253,8 @@ func TestChaosEvaluatorPanicContained(t *testing.T) {
 			if _, err := db.Query(chaosQuery); !errors.Is(err, ErrInternal) {
 				t.Errorf("Query under panic: err = %v, want errors.Is ErrInternal", err)
 			}
-			if _, err := db.QueryRows(chaosQuery); !errors.Is(err, ErrInternal) {
-				t.Errorf("QueryRows under panic: err = %v, want errors.Is ErrInternal", err)
+			if _, err := db.QueryContext(context.Background(), chaosQuery, QMaxRows(1<<20)); !errors.Is(err, ErrInternal) {
+				t.Errorf("QueryContext under panic: err = %v, want errors.Is ErrInternal", err)
 			}
 			if _, err := pq.Run(context.Background()); !errors.Is(err, ErrInternal) {
 				t.Errorf("Prepared.Run under panic: err = %v, want errors.Is ErrInternal", err)

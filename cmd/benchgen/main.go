@@ -1,6 +1,6 @@
 // Command benchgen generates a deterministic synthetic SGML corpus (the
 // benchmark workload) and either writes the documents to a directory or
-// loads them and writes a database snapshot.
+// loads them and writes a database image (Database.Save).
 //
 // Usage:
 //
@@ -14,8 +14,8 @@ import (
 	"os"
 	"path/filepath"
 
+	"sgmldb"
 	"sgmldb/internal/corpus"
-	"sgmldb/internal/store"
 )
 
 func main() {
@@ -32,7 +32,7 @@ func run() error {
 	vocab := flag.Int("vocab", 1000, "vocabulary size")
 	seed := flag.Int64("seed", 1, "generator seed")
 	out := flag.String("out", "", "directory for generated .sgml files")
-	snap := flag.String("snap", "", "load the corpus and write this snapshot")
+	snap := flag.String("snap", "", "load the corpus and write this database image")
 	flag.Parse()
 	p := corpus.Params{Docs: *docs, Sections: *sections, Words: *words,
 		Vocabulary: *vocab, Seed: *seed}
@@ -54,25 +54,31 @@ func run() error {
 		fmt.Printf("wrote %d documents to %s\n", *docs, *out)
 	}
 	if *snap != "" {
-		db, err := corpus.BuildArticles(p)
+		g := corpus.NewGenerator(p)
+		srcs := make([]string, *docs)
+		raw := 0
+		for i := range srcs {
+			srcs[i] = g.Article(i)
+			raw += len(srcs[i])
+		}
+		db, err := sgmldb.OpenDTD(corpus.ArticleDTD)
 		if err != nil {
 			return err
 		}
-		st := db.Loader.Instance.Stats()
-		fmt.Printf("corpus: %d documents, %d objects, %d raw SGML bytes, %d value bytes (overhead ×%.2f)\n",
-			*docs, st.Objects, db.RawBytes, st.ValueBytes,
-			float64(st.ValueBytes)/float64(db.RawBytes))
-		if err := saveSnapshot(db, *snap); err != nil {
+		if _, err := db.LoadDocuments(srcs); err != nil {
 			return err
 		}
-		fmt.Printf("snapshot written to %s\n", *snap)
+		st := db.Stats()
+		fmt.Printf("corpus: %d documents, %d objects, %d raw SGML bytes, %d value bytes (overhead ×%.2f)\n",
+			*docs, st.Objects, raw, st.ValueBytes,
+			float64(st.ValueBytes)/float64(raw))
+		if err := db.Save(*snap); err != nil {
+			return err
+		}
+		fmt.Printf("image written to %s\n", *snap)
 	}
 	if *out == "" && *snap == "" {
 		return fmt.Errorf("nothing to do: pass -out and/or -snap")
 	}
 	return nil
-}
-
-func saveSnapshot(db *corpus.Database, path string) error {
-	return store.SaveFile(path, db.Loader.Instance)
 }

@@ -1,5 +1,6 @@
 // Command oql runs extended O₂SQL queries (Section 4 of the paper) over a
-// database snapshot, one-shot or as a REPL.
+// database image written by sgmlload or benchgen -snap (Database.Save),
+// one-shot or as a REPL.
 //
 // Usage:
 //
@@ -27,7 +28,7 @@ func main() {
 }
 
 func run() error {
-	dbPath := flag.String("db", "", "database snapshot (required)")
+	dbPath := flag.String("db", "", "database image (required)")
 	query := flag.String("q", "", "query to run (omit for a REPL)")
 	useAlgebra := flag.Bool("algebra", false, "evaluate through the Section 5.4 algebra")
 	explain := flag.Bool("explain", false, "print the algebra plan instead of running")
@@ -36,11 +37,10 @@ func run() error {
 	if *dbPath == "" {
 		return fmt.Errorf("usage: oql -db file.snap [-q query] [-algebra] [-explain] [-semantics restricted|liberal]")
 	}
-	db, err := sgmldb.OpenSnapshot(*dbPath)
+	db, err := sgmldb.OpenSnapshot(*dbPath, sgmldb.WithAlgebra(*useAlgebra))
 	if err != nil {
 		return err
 	}
-	db.UseAlgebra(*useAlgebra)
 	switch *semantics {
 	case "restricted":
 		db.Engine.Env.Semantics = path.Restricted

@@ -116,13 +116,14 @@ func run() error {
 	// first poll bootstraps from the primary's checkpoint, later ones tail
 	// its live log. The tail loop is cancelled first thing at shutdown.
 	var stopTail context.CancelFunc
+	var fl *service.Follower
 	tailDone := make(chan struct{})
 	close(tailDone)
 	if *follow != "" {
 		var tailCtx context.Context
 		tailCtx, stopTail = context.WithCancel(context.Background())
 		defer stopTail()
-		fl := &service.Follower{DB: db, Primary: *follow, Key: *followKey, WaitMS: *followWait}
+		fl = &service.Follower{DB: db, Primary: *follow, Key: *followKey, WaitMS: *followWait}
 		tailDone = make(chan struct{})
 		go func() {
 			defer close(tailDone)
@@ -163,6 +164,7 @@ func run() error {
 		return err
 	}
 	if *follow != "" {
+		srv.Follower = fl
 		// POST /v1/promote flipped the database writable: stop tailing the
 		// old primary — this process is the primary now.
 		srv.OnPromote = func(term uint64) {

@@ -1,5 +1,6 @@
 // Command sgmlload parses SGML documents against a DTD, loads them into a
-// database (Section 3's document→instance mapping) and writes a snapshot.
+// database (Section 3's document→instance mapping) and writes the database
+// image (Database.Save) that cmd/oql opens.
 //
 // Usage:
 //
@@ -26,7 +27,7 @@ func main() {
 
 func run() error {
 	dtdPath := flag.String("dtd", "", "DTD file (required)")
-	out := flag.String("o", "db.snap", "snapshot output file")
+	out := flag.String("o", "db.snap", "database image output file")
 	name := flag.String("name", "", "declare the first document under this persistence root")
 	verbose := flag.Bool("v", false, "print per-document statistics")
 	flag.Parse()

@@ -17,7 +17,6 @@ const (
 	CodeInternal      = "INTERNAL"            // ErrInternal
 	CodeReadOnly      = "READ_ONLY"           // ErrReadOnly
 	CodeUnknownObject = "UNKNOWN_OBJECT"      // ErrUnknownObject
-	CodeNoMapping     = "NO_MAPPING"          // ErrNoMapping
 	CodeCorruptLog    = "CORRUPT_LOG"         // ErrCorruptLog
 	CodeUnsupported   = "UNSUPPORTED_VERSION" // ErrUnsupportedVersion
 	CodeDegraded      = "DEGRADED"            // ErrDegraded
@@ -59,8 +58,6 @@ func Code(err error) string {
 		return CodeReadOnly
 	case errors.Is(err, ErrUnknownObject):
 		return CodeUnknownObject
-	case errors.Is(err, ErrNoMapping):
-		return CodeNoMapping
 	case errors.Is(err, ErrCorruptLog):
 		return CodeCorruptLog
 	case errors.Is(err, ErrUnsupportedVersion):

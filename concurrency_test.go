@@ -111,11 +111,8 @@ func TestQueryContextCancel(t *testing.T) {
 	if _, err := pq.Run(ctx); !errors.Is(err, context.Canceled) {
 		t.Errorf("Prepared.Run on cancelled ctx: err = %v", err)
 	}
-	if _, err := pq.Rows(ctx); !errors.Is(err, context.Canceled) {
-		t.Errorf("Prepared.Rows on cancelled ctx: err = %v", err)
-	}
 	// Algebra mode observes cancellation inside plan scans too.
-	db.UseAlgebra(true)
+	db.Engine.UseAlgebra = true
 	if _, err := db.QueryContext(ctx, q); !errors.Is(err, context.Canceled) {
 		t.Errorf("QueryContext (algebra) on cancelled ctx: err = %v", err)
 	}
@@ -132,7 +129,7 @@ func TestPrepare(t *testing.T) {
 	for _, algebra := range []bool{false, true} {
 		t.Run(fmt.Sprintf("algebra=%v", algebra), func(t *testing.T) {
 			db := openArticleDB(t)
-			db.UseAlgebra(algebra)
+			db.Engine.UseAlgebra = algebra
 			const q = `select t from my_article PATH_p.title(t)`
 			pq, err := db.Prepare(q)
 			if err != nil {
@@ -169,7 +166,7 @@ func TestPrepare(t *testing.T) {
 			if !object.Equal(got, want) {
 				t.Fatalf("after load: prepared = %s, want %s", got, want)
 			}
-			// Bare expressions prepare too (and report no row form).
+			// Bare expressions prepare and run too.
 			bare, err := db.Prepare(`my_article.title`)
 			if err != nil {
 				t.Fatal(err)
@@ -177,15 +174,11 @@ func TestPrepare(t *testing.T) {
 			if _, err := bare.Run(context.Background()); err != nil {
 				t.Fatal(err)
 			}
-			if _, err := bare.Rows(context.Background()); err == nil {
-				t.Error("bare expression must have no row form")
-			}
 		})
 	}
 }
 
-// TestOpenOptions checks the functional options and that the deprecated
-// setter still works.
+// TestOpenOptions checks the functional options.
 func TestOpenOptions(t *testing.T) {
 	dtd, err := os.ReadFile("testdata/article.dtd")
 	if err != nil {
@@ -200,10 +193,6 @@ func TestOpenOptions(t *testing.T) {
 		db.Engine.Workers != 2 || !db.Engine.SkipTypecheck {
 		t.Errorf("options not applied: %+v", db.Engine)
 	}
-	db.UseAlgebra(false)
-	if db.Engine.UseAlgebra {
-		t.Error("deprecated UseAlgebra setter must keep working")
-	}
 }
 
 // TestSentinelErrors checks that the facade's failure modes surface the
@@ -213,25 +202,12 @@ func TestSentinelErrors(t *testing.T) {
 	if err := db.Name("ghost", object.OID(99999)); !errors.Is(err, ErrUnknownObject) {
 		t.Errorf("Name unknown oid: err = %v", err)
 	}
-	path := filepath.Join(t.TempDir(), "articles.snap")
-	if err := db.Save(path); err != nil {
-		t.Fatal(err)
-	}
-	snap, err := OpenSnapshot(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := snap.LoadDocument("<article></article>"); !errors.Is(err, ErrReadOnly) {
-		t.Errorf("LoadDocument on snapshot: err = %v", err)
-	}
-	if _, err := snap.Export(object.OID(1)); !errors.Is(err, ErrNoMapping) {
-		t.Errorf("Export without mapping: err = %v", err)
-	}
 }
 
-// TestSnapshotIndexesSingularRoots is the regression test for the index
-// rebuild of OpenSnapshot: a document reachable only through a singular
-// (single-oid) root used to be silently dropped from the full-text index.
+// TestSnapshotIndexesSingularRoots: a document reachable only through a
+// singular (single-oid) root keeps its full-text entry across an image
+// round trip — the image carries the index, it is not rebuilt by walking
+// the roots.
 func TestSnapshotIndexesSingularRoots(t *testing.T) {
 	db := openArticleDB(t)
 	// Leave my_article as the only reference to the document: empty the
@@ -247,7 +223,7 @@ func TestSnapshotIndexesSingularRoots(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if docs := snap.Engine.Index.Docs(); len(docs) != 1 {
+	if docs := snap.Engine.State().Index.Docs(); len(docs) != 1 {
 		t.Fatalf("snapshot index docs = %v, want the singular-root document", docs)
 	}
 	// The index serves as the contains access path for the document.

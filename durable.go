@@ -29,8 +29,8 @@ const defaultCheckpointEvery = 8
 // openDurable recovers (or initializes) the data directory and attaches
 // the log to the database. Called from OpenDTD before the database is
 // returned, so no queries or loads race it.
-func (db *Database) openDurable(dtdSource string) error {
-	db.dtdSource = dtdSource
+func (db *Database) openDurable() error {
+	dtdSource := db.dtdSource
 	l, ck, tail, err := wal.Open(db.dataDir)
 	if err != nil {
 		return err
@@ -42,16 +42,7 @@ func (db *Database) openDurable(dtdSource string) error {
 			l.Close()
 			return fmt.Errorf("sgmldb: data directory %s holds a database for a different DTD", db.dataDir)
 		}
-		// Adopt the checkpointed version wholesale and re-anchor its epoch
-		// so the sequence continues exactly where the durable history ended.
-		inst := ck.Inst
-		inst.SetEpoch(ck.Epoch)
-		docs := make([]object.OID, len(ck.Docs))
-		for i, o := range ck.Docs {
-			docs[i] = object.OID(o)
-		}
-		db.Loader.Adopt(inst, docs)
-		db.Engine.Publish(oql.State{Snap: inst.Snapshot(), Index: ck.Index})
+		db.adopt(ck)
 	} else {
 		db.Engine.Publish(oql.State{Snap: db.Loader.Instance.Snapshot(), Index: db.Engine.Index})
 	}
@@ -116,25 +107,28 @@ func (db *Database) openDurable(dtdSource string) error {
 	return nil
 }
 
-// captureCheckpoint snapshots everything a checkpoint needs. Caller holds
-// loadMu, so the (seq, epoch, docs, inst, index) quintuple is consistent;
-// the instance and index are published versions and thus immutable, so
-// the checkpointer can serialize them outside the lock.
+// captureCheckpoint snapshots everything a checkpoint (or a Save image)
+// needs. Caller holds loadMu, so the (seq, epoch, docs, inst, index)
+// quintuple is consistent; the instance and index are published versions
+// and thus immutable, so the checkpointer can serialize them outside the
+// lock. Without a log, seq and term are 0.
 func (db *Database) captureCheckpoint(inst *store.Instance, ix *text.Index) *wal.Checkpoint {
 	loaderDocs := db.Loader.Documents()
 	docs := make([]uint64, len(loaderDocs))
 	for i, o := range loaderDocs {
 		docs[i] = uint64(o)
 	}
-	return &wal.Checkpoint{
-		Seq:   db.walLog.Seq(),
+	ck := &wal.Checkpoint{
 		Epoch: inst.Epoch(),
-		Term:  db.walLog.Term(),
 		DTD:   db.dtdSource,
 		Docs:  docs,
 		Inst:  inst,
 		Index: ix,
 	}
+	if db.walLog != nil {
+		ck.Seq, ck.Term = db.walLog.Seq(), db.walLog.Term()
+	}
+	return ck
 }
 
 // maybeCheckpoint hands the just-published version to the background
@@ -195,18 +189,34 @@ func (db *Database) writeCheckpoint(ck *wal.Checkpoint) error {
 
 // Checkpoint forces a checkpoint of the currently published version and
 // truncates the log prefix it covers, synchronously. On a database
-// without a data directory it is a no-op. Useful before a planned
-// shutdown to make the next open's recovery O(1) in loaded documents.
+// without a data directory it is a no-op; after Close it reports
+// ErrReadOnly. Useful before a planned shutdown to make the next open's
+// recovery O(1) in loaded documents.
 func (db *Database) Checkpoint() error {
 	if db.walLog == nil {
 		return nil
 	}
 	db.loadMu.Lock()
+	if err := db.closedErr(); err != nil {
+		db.loadMu.Unlock()
+		return err
+	}
 	st := db.state()
 	ck := db.captureCheckpoint(st.Snap.Inst, st.Index)
 	db.recordsSinceCkpt = 0
 	db.loadMu.Unlock()
 	return db.writeCheckpoint(ck)
+}
+
+// closedErr reports the error every write path fails with once Close has
+// released the log: ErrReadOnly, the closed store's wire contract — never
+// an append on the closed file, which would poison the log and read as a
+// storage fault. Caller holds loadMu, which Close takes to set walClosed.
+func (db *Database) closedErr() error {
+	if db.walClosed {
+		return fmt.Errorf("%w: database is closed", ErrReadOnly)
+	}
+	return nil
 }
 
 // degradedErr reports the degraded-mode error writers fail fast with:
@@ -303,7 +313,8 @@ func (db *Database) Scrub() (*ScrubReport, error) {
 
 // Close releases the durability machinery: it stops the background
 // checkpointer and closes the log file. The in-memory database keeps
-// answering queries, but further loads and namings fail. On a database
+// answering queries, but further loads, namings, checkpoints and applies
+// fail with ErrReadOnly. On a database
 // without a data directory it is a no-op. Close is idempotent.
 func (db *Database) Close() error {
 	db.loadMu.Lock()

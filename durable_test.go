@@ -192,17 +192,22 @@ func TestDurableDTDPinned(t *testing.T) {
 	}
 }
 
-// TestDurableSnapshotRejected: OpenSnapshot cannot replay loads (no DTD),
-// so combining it with WithDataDir must fail loudly, not silently run
-// without durability.
+// TestDurableSnapshotRejected: a durable database recovers from its own
+// directory through OpenDTD, so OpenSnapshot with WithDataDir must fail
+// loudly, not silently run without durability — and without creating the
+// directory.
 func TestDurableSnapshotRejected(t *testing.T) {
 	db := openChaosDB(t)
 	snap := filepath.Join(t.TempDir(), "db.snapshot")
 	if err := db.Save(snap); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := OpenSnapshot(snap, WithDataDir(t.TempDir())); err == nil {
+	dir := filepath.Join(t.TempDir(), "data")
+	if _, err := OpenSnapshot(snap, WithDataDir(dir)); err == nil {
 		t.Error("OpenSnapshot with WithDataDir succeeded, want error")
+	}
+	if _, err := os.Stat(dir); !os.IsNotExist(err) {
+		t.Errorf("rejected OpenSnapshot touched the data directory: stat err = %v", err)
 	}
 	if _, err := OpenSnapshot(snap); err != nil {
 		t.Errorf("OpenSnapshot without data dir: %v", err)

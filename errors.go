@@ -11,17 +11,15 @@ import (
 // Sentinel errors returned (wrapped) by the Database API; test with
 // errors.Is.
 var (
-	// ErrReadOnly is returned by LoadDocument on a snapshot database,
-	// which has no DTD mapping to parse and load documents with.
-	ErrReadOnly = errors.New("sgmldb: snapshot databases are read-only for documents")
+	// ErrReadOnly is returned by writers (LoadDocument, LoadDocuments,
+	// Name, Checkpoint, and the follower apply path) on a database that
+	// does not accept them: a follower, which changes only by applying
+	// its primary's log, and a durable database after Close.
+	ErrReadOnly = errors.New("sgmldb: database is read-only")
 
 	// ErrUnknownObject is returned when an operation refers to an oid that
 	// is not assigned in the instance.
 	ErrUnknownObject = errors.New("sgmldb: unknown object")
-
-	// ErrNoMapping is returned by operations that need the DTD mapping
-	// (e.g. Export) on a database opened without one.
-	ErrNoMapping = errors.New("sgmldb: operation requires the DTD mapping (open with OpenDTD)")
 
 	// ErrOverloaded is returned when admission control sheds a query: the
 	// database already runs WithMaxConcurrentQueries queries and the

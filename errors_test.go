@@ -4,37 +4,101 @@ import (
 	"errors"
 	"os"
 	"path/filepath"
+	"reflect"
 	"testing"
 	"time"
 
 	"sgmldb/internal/calculus"
 	"sgmldb/internal/faultpoint"
 	"sgmldb/internal/object"
+	"sgmldb/internal/wal"
 )
 
 // The facade promises sentinel errors testable with errors.Is, no matter
 // how many wrapping layers the failing operation adds.
 
-func TestErrReadOnlyFromSnapshot(t *testing.T) {
-	db := openArticleDB(t)
+// TestErrReadOnlyAfterClose: every write path of a closed durable
+// database — load, naming, checkpoint, and a follower's apply — fails with
+// ErrReadOnly (wire code READ_ONLY). None of them may reach the closed
+// log: an append there would poison it and surface as a storage fault
+// (DEGRADED), and a checkpoint would leave a new file behind.
+func TestErrReadOnlyAfterClose(t *testing.T) {
+	dtd, err := os.ReadFile("testdata/article.dtd")
+	if err != nil {
+		t.Fatal(err)
+	}
 	src, err := os.ReadFile("testdata/article.sgml")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := db.LoadDocument(string(src)); err != nil {
-		t.Fatal(err)
-	}
-	path := filepath.Join(t.TempDir(), "db.snap")
-	if err := db.Save(path); err != nil {
-		t.Fatal(err)
-	}
-	snap, err := OpenSnapshot(path)
+	dir := t.TempDir()
+	db, err := OpenDTD(string(dtd), WithDataDir(dir))
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, err = snap.LoadDocument(string(src))
-	if !errors.Is(err, ErrReadOnly) {
-		t.Errorf("LoadDocument on snapshot: err = %v, want errors.Is ErrReadOnly", err)
+	oid, err := db.LoadDocument(string(src))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := db.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	ckPath, _, _, err := db.NewestCheckpointFile()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := db.Close(); err != nil {
+		t.Fatal(err)
+	}
+	before, _ := filepath.Glob(filepath.Join(dir, "checkpoint-*"))
+
+	wantReadOnly := func(op string, err error) {
+		t.Helper()
+		if !errors.Is(err, ErrReadOnly) || Code(err) != CodeReadOnly {
+			t.Errorf("%s after Close: err = %v (code %s), want ErrReadOnly / %s", op, err, Code(err), CodeReadOnly)
+		}
+	}
+	_, err = db.LoadDocument(string(src))
+	wantReadOnly("LoadDocument", err)
+	wantReadOnly("Name", db.Name("after_close", oid))
+	wantReadOnly("Checkpoint", db.Checkpoint())
+
+	st := db.Stats()
+	if st.Degraded {
+		t.Errorf("closed database reports degraded: %s", st.DegradedReason)
+	}
+	if st.CheckpointFailures != 0 {
+		t.Errorf("CheckpointFailures = %d, want 0", st.CheckpointFailures)
+	}
+	after, _ := filepath.Glob(filepath.Join(dir, "checkpoint-*"))
+	if !reflect.DeepEqual(before, after) {
+		t.Errorf("checkpoint files %v after Close, want %v", after, before)
+	}
+	if _, err := db.Query(`select t from a in Articles, a.title(t)`); err != nil {
+		t.Errorf("closed database stopped answering queries: %v", err)
+	}
+
+	// A closed durable follower refuses the apply path the same way.
+	f, err := os.Open(ckPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ck, err := wal.DecodeCheckpoint(f)
+	f.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	fdb, err := OpenFollower(string(dtd), WithDataDir(t.TempDir()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := fdb.Close(); err != nil {
+		t.Fatal(err)
+	}
+	wantReadOnly("ApplyCheckpoint", fdb.ApplyCheckpoint(ck))
+	wantReadOnly("ApplyRecord", fdb.ApplyRecord(wal.Record{Seq: 1, Kind: wal.KindSchema, Schema: string(dtd)}))
+	if st := fdb.Stats(); st.Degraded || st.AppliedSeq != 0 {
+		t.Errorf("closed follower: degraded=%v applied=%d, want neither", st.Degraded, st.AppliedSeq)
 	}
 }
 
@@ -43,30 +107,6 @@ func TestErrUnknownObjectFromName(t *testing.T) {
 	err := db.Name("ghost", object.OID(1<<40))
 	if !errors.Is(err, ErrUnknownObject) {
 		t.Errorf("Name with bogus oid: err = %v, want errors.Is ErrUnknownObject", err)
-	}
-}
-
-func TestErrNoMappingFromExport(t *testing.T) {
-	db := openArticleDB(t)
-	src, err := os.ReadFile("testdata/article.sgml")
-	if err != nil {
-		t.Fatal(err)
-	}
-	oid, err := db.LoadDocument(string(src))
-	if err != nil {
-		t.Fatal(err)
-	}
-	path := filepath.Join(t.TempDir(), "db.snap")
-	if err := db.Save(path); err != nil {
-		t.Fatal(err)
-	}
-	snap, err := OpenSnapshot(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	_, err = snap.Export(oid)
-	if !errors.Is(err, ErrNoMapping) {
-		t.Errorf("Export without mapping: err = %v, want errors.Is ErrNoMapping", err)
 	}
 }
 

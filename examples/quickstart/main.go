@@ -97,9 +97,21 @@ where s.title contains ("SGML" and "OODBMS")`
 		fmt.Printf("title: %q\n", db.Text(t))
 	}
 
-	// 5. The same query through the Section 5.4 algebra.
-	db.UseAlgebra(true)
-	res2, err := db.Query(`select t from my_article PATH_p.title(t)`)
+	// 5. The same query through the Section 5.4 algebra. The evaluation
+	// strategy is fixed at open time, so the algebra runs on a second
+	// database holding the same article.
+	adb, err := sgmldb.OpenDTD(articleDTD, sgmldb.WithAlgebra(true))
+	if err != nil {
+		log.Fatal(err)
+	}
+	aoid, err := adb.LoadDocument(article)
+	if err != nil {
+		log.Fatal(err)
+	}
+	if err := adb.Name("my_article", aoid); err != nil {
+		log.Fatal(err)
+	}
+	res2, err := adb.Query(`select t from my_article PATH_p.title(t)`)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -51,6 +51,14 @@ func failoverPrimary(t *testing.T, dtd, dir string) (*sgmldb.Database, *httptest
 // and tails primaryURL until stop is called.
 func durableFollower(t *testing.T, dtd, dir, primaryURL string) (*sgmldb.Database, func()) {
 	t.Helper()
+	fdb, _, stop := durableFollowerClient(t, dtd, dir, primaryURL)
+	return fdb, stop
+}
+
+// durableFollowerClient is durableFollower that also hands back the
+// replication client, whose telemetry (re-bootstraps, breaker) it owns.
+func durableFollowerClient(t *testing.T, dtd, dir, primaryURL string) (*sgmldb.Database, *service.Follower, func()) {
+	t.Helper()
 	fdb, err := sgmldb.OpenFollower(dtd, sgmldb.WithDataDir(dir), sgmldb.WithCheckpointEvery(-1))
 	if err != nil {
 		t.Fatal(err)
@@ -72,7 +80,7 @@ func durableFollower(t *testing.T, dtd, dir, primaryURL string) (*sgmldb.Databas
 		}
 	}
 	t.Cleanup(stop)
-	return fdb, stop
+	return fdb, fl, stop
 }
 
 // snapshotDir copies every regular file in src into a fresh temp dir —
@@ -422,7 +430,7 @@ func TestChaosFailoverStaleCheckpointRejected(t *testing.T) {
 	if err := oldPrimary.Checkpoint(); err != nil {
 		t.Fatal(err)
 	}
-	applied0, articles0, boots0 := g.AppliedSeq(), replArticleCount(t, g), g.Rebootstraps()
+	applied0, articles0 := g.AppliedSeq(), replArticleCount(t, g)
 
 	// Misdirect G at the deposed primary: every handshake (feed bounce →
 	// checkpoint bootstrap) must be refused, nothing may install.
@@ -445,8 +453,8 @@ func TestChaosFailoverStaleCheckpointRejected(t *testing.T) {
 	if got := replArticleCount(t, g); got != articles0 {
 		t.Errorf("G articles = %d, want %d (forked history adopted)", got, articles0)
 	}
-	if got := g.Rebootstraps(); got != boots0 {
-		t.Errorf("G counted %d bootstraps from a stale source, want 0", got-boots0)
+	if got := fl.Rebootstraps(); got != 0 {
+		t.Errorf("G counted %d bootstraps from a stale source, want 0", got)
 	}
 	// The direct guard, on the exact checkpoint the wire would carry: a
 	// term-1 checkpoint past the applied position is ErrStaleTerm.
@@ -513,7 +521,7 @@ func TestChaosFailoverIdleRejoinConverges(t *testing.T) {
 	// The deposed primary rejoins from its own directory. Its first poll
 	// anchors past the idle new primary's last record; it must get the 409
 	// that triggers the truncating re-bootstrap, not park on empty 200s.
-	rejoiner, _ := durableFollower(t, dtd, pdir, nts.URL)
+	rejoiner, rejoinClient, _ := durableFollowerClient(t, dtd, pdir, nts.URL)
 	replWait(t, "idle rejoiner converging", caughtUp(follower, rejoiner))
 	if got := rejoiner.Term(); got != 2 {
 		t.Errorf("rejoiner term = %d, want 2", got)
@@ -521,7 +529,7 @@ func TestChaosFailoverIdleRejoinConverges(t *testing.T) {
 	if got := replArticleCount(t, rejoiner); got != wantArticles {
 		t.Errorf("rejoiner articles = %d, want %d (stale suffix must not survive)", got, wantArticles)
 	}
-	if got := rejoiner.Rebootstraps(); got < 1 {
+	if got := rejoinClient.Rebootstraps(); got < 1 {
 		t.Errorf("rejoiner Rebootstraps = %d, want >= 1 (divergence must force a bootstrap)", got)
 	}
 	mustFsckClean(t, pdir, "rejoined old primary")

@@ -10,7 +10,7 @@ import (
 )
 
 // The errwrap analyzer keeps error chains intact so the facade's sentinel
-// errors (ErrReadOnly, ErrUnknownObject, ErrNoMapping) stay observable
+// errors (ErrReadOnly, ErrUnknownObject, ErrDegraded, …) stay observable
 // through errors.Is:
 //
 //  1. A fmt.Errorf whose operand is an error must format it with %w —

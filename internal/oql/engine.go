@@ -33,8 +33,8 @@ type State struct {
 // typecheck (Section 4.2) → lower to the calculus (Section 5.2) →
 // evaluate, either naively or through the algebraization of Section 5.4.
 //
-// Concurrency: the query methods (Query, QueryContext, Rows, RowsContext,
-// Prepare and prepared Run/Rows) are safe for concurrent use. When a
+// Concurrency: the query methods (Query, QueryContext, QueryBudget, Rows,
+// Prepare and prepared Run/RunBudget) are safe for concurrent use. When a
 // State has been published (Publish), every query pins the state current
 // at its start and evaluates entirely against it, so writers staging the
 // next version never block or corrupt a reader. Without a published
@@ -219,30 +219,16 @@ func (e *Engine) QueryBudget(ctx context.Context, src string, b calculus.Budget)
 	}
 }
 
-// Rows evaluates a select or pattern query and returns the raw result
-// (head variables with their sorted bindings).
+// Rows evaluates a select or pattern query under the engine budget and
+// returns the raw result (head variables with their sorted bindings).
 func (e *Engine) Rows(src string) (*calculus.Result, error) {
-	return e.RowsContext(context.Background(), src)
-}
-
-// RowsContext is Rows under a context.
-func (e *Engine) RowsContext(ctx context.Context, src string) (*calculus.Result, error) {
-	return e.RowsBudget(ctx, src, e.Budget)
-}
-
-// RowsBudget is RowsContext under an explicit per-execution budget (see
-// QueryBudget).
-func (e *Engine) RowsBudget(ctx context.Context, src string, b calculus.Budget) (*calculus.Result, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
 	env, ix := e.pin()
-	env = budgetEnv(env, b)
+	env = budgetEnv(env, e.Budget)
 	ast, err := e.parseCheck(env, src)
 	if err != nil {
 		return nil, err
 	}
-	return e.runCached(ctx, env, ix, src, ast)
+	return e.runCached(context.Background(), env, ix, src, ast)
 }
 
 // parseCheck parses the source and runs the static checks against the
@@ -526,24 +512,6 @@ func (p *Prepared) RunBudget(ctx context.Context, b calculus.Budget) (object.Val
 		return nil, err
 	}
 	return res.ToSet(), nil
-}
-
-// Rows evaluates the prepared query and returns the raw result. It
-// reports an error for bare expressions that have no row form.
-func (p *Prepared) Rows(ctx context.Context) (*calculus.Result, error) {
-	return p.RowsBudget(ctx, p.engine.Budget)
-}
-
-// RowsBudget is Rows under an explicit per-execution budget (see
-// Engine.QueryBudget).
-func (p *Prepared) RowsBudget(ctx context.Context, b calculus.Budget) (*calculus.Result, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	if p.bare {
-		return nil, fmt.Errorf("oql: prepared query %q has no row form", p.src)
-	}
-	return p.rows(ctx, b)
 }
 
 func (p *Prepared) rows(ctx context.Context, b calculus.Budget) (*calculus.Result, error) {

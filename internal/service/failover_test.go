@@ -105,7 +105,7 @@ func TestFollowerRejectsStaleSource(t *testing.T) {
 // apply around the hole. ApplyRecord reports ErrReplicaGap, the loop
 // re-bootstraps from the primary's checkpoint, and the follower still
 // converges to exactly the primary's state. The rebootstrap is counted
-// in the follower database's telemetry.
+// in the replication client's telemetry.
 func TestFollowerGapRebootstraps(t *testing.T) {
 	dtd, doc := readCorpus(t)
 	pdb := openPrimary(t, dtd)
@@ -178,9 +178,40 @@ func TestFollowerGapRebootstraps(t *testing.T) {
 	if fdb.Epoch() != pdb.Epoch() {
 		t.Fatalf("epochs diverged: follower %d, primary %d", fdb.Epoch(), pdb.Epoch())
 	}
-	if got := fdb.Rebootstraps(); got < 1 {
+	if got := f.Rebootstraps(); got < 1 {
 		t.Fatalf("follower Rebootstraps = %d, want >= 1", got)
 	}
+	if got := followerTelemetry(t, fdb, f); got.Rebootstraps != f.Rebootstraps() || got.BreakerOpen {
+		t.Fatalf("/v1/stats follower section = %+v, want rebootstraps %d, breaker closed", got, f.Rebootstraps())
+	}
+}
+
+// followerTelemetry reads the follower section of /v1/stats from a server
+// over fdb wired with f, and checks /v1/health reports the same values.
+func followerTelemetry(t *testing.T, fdb *sgmldb.Database, f *Follower) followerStats {
+	t.Helper()
+	srv, err := New(fdb, Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv.Follower = f
+	get := func(path string, v any) {
+		rec := httptest.NewRecorder()
+		srv.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, path, nil))
+		if err := json.Unmarshal(rec.Body.Bytes(), v); err != nil {
+			t.Fatalf("%s body: %v", path, err)
+		}
+	}
+	var stats struct {
+		Follower followerStats `json:"follower"`
+	}
+	get("/v1/stats", &stats)
+	var health followerStats
+	get("/v1/health", &health)
+	if health != stats.Follower {
+		t.Errorf("/v1/health follower telemetry %+v disagrees with /v1/stats %+v", health, stats.Follower)
+	}
+	return stats.Follower
 }
 
 func proxyGet(t *testing.T, url string) (int, http.Header, []byte) {
@@ -316,25 +347,34 @@ func TestServiceHealthFailoverShape(t *testing.T) {
 		t.Errorf("health term = %v, want 1 (fresh durable log)", health["term"])
 	}
 
-	// The engine Stats JSON shape carries the same four fields.
-	raw, err := json.Marshal(pdb.Stats())
-	if err != nil {
-		t.Fatal(err)
+	// No replication client is wired into a primary: its telemetry reads
+	// zero, in /v1/health and in the /v1/stats follower section alike.
+	if health["rebootstraps"] != float64(0) || health["breaker_open"] != false {
+		t.Errorf("primary health rebootstraps/breaker_open = %v/%v, want 0/false", health["rebootstraps"], health["breaker_open"])
 	}
-	var stats map[string]any
-	if err := json.Unmarshal(raw, &stats); err != nil {
-		t.Fatal(err)
+	_, _, body = rawGet(t, ts, "/v1/stats")
+	var stats struct {
+		Engine   map[string]any `json:"engine"`
+		Follower map[string]any `json:"follower"`
 	}
-	for _, key := range []string{"Term", "Promotions", "Rebootstraps", "BreakerOpen"} {
-		if _, ok := stats[key]; !ok {
-			t.Errorf("Stats JSON missing %q", key)
+	if err := json.Unmarshal(body, &stats); err != nil {
+		t.Fatalf("stats body: %v", err)
+	}
+	for _, key := range []string{"Term", "Promotions"} {
+		if _, ok := stats.Engine[key]; !ok {
+			t.Errorf("/v1/stats engine section missing %q: %s", key, body)
+		}
+	}
+	for _, key := range []string{"rebootstraps", "breaker_open"} {
+		if _, ok := stats.Follower[key]; !ok {
+			t.Errorf("/v1/stats follower section missing %q: %s", key, body)
 		}
 	}
 }
 
 // TestFollowerBreakerOpens: when every bootstrap attempt fails, the
 // circuit breaker opens after the threshold and the state is visible in
-// the follower database's telemetry; when a bootstrap finally succeeds
+// the replication client's telemetry; when a bootstrap finally succeeds
 // the breaker closes again.
 func TestFollowerBreakerOpens(t *testing.T) {
 	dtd, doc := readCorpus(t)
@@ -397,10 +437,14 @@ func TestFollowerBreakerOpens(t *testing.T) {
 		}
 	}()
 
-	waitFor(t, "breaker to open", fdb.BreakerOpen)
+	waitFor(t, "breaker to open", f.BreakerOpen)
+	// Every bootstrap still fails, so the breaker stays open while read.
+	if got := followerTelemetry(t, fdb, f); !got.BreakerOpen || got.Rebootstraps != 0 {
+		t.Errorf("/v1/stats follower section = %+v, want breaker open, no rebootstraps", got)
+	}
 	releaseCkpt.Store(true)
 	waitFor(t, "breaker to close after a successful bootstrap", func() bool {
-		return !fdb.BreakerOpen() && fdb.Rebootstraps() >= 1
+		return !f.BreakerOpen() && f.Rebootstraps() >= 1
 	})
 	waitFor(t, "convergence", func() bool {
 		seq, err := pdb.FeedSeq()
@@ -412,7 +456,7 @@ func TestFollowerBreakerOpens(t *testing.T) {
 // without ever completing a bootstrap — the primary's retained log still
 // covers the follower's anchor once the fault clears, so a plain poll
 // succeeds. The breaker must close on that path too; leaving it open
-// would report breaker_open in Stats and /v1/health forever and pace
+// would report breaker_open in /v1/stats and /v1/health forever and pace
 // every later transient retry at the breaker cooldown instead of the
 // jittered backoff.
 func TestFollowerBreakerClosesOnPollSuccess(t *testing.T) {
@@ -477,14 +521,17 @@ func TestFollowerBreakerClosesOnPollSuccess(t *testing.T) {
 		}
 	}()
 
-	waitFor(t, "breaker to open", fdb.BreakerOpen)
+	waitFor(t, "breaker to open", f.BreakerOpen)
 	release.Store(true)
 	waitFor(t, "convergence via plain polls", func() bool {
 		seq, err := pdb.FeedSeq()
 		return err == nil && fdb.AppliedSeq() == seq
 	})
-	waitFor(t, "breaker to close without a bootstrap", func() bool { return !fdb.BreakerOpen() })
-	if got := fdb.Rebootstraps(); got != 0 {
+	waitFor(t, "breaker to close without a bootstrap", func() bool { return !f.BreakerOpen() })
+	if got := f.Rebootstraps(); got != 0 {
 		t.Fatalf("follower Rebootstraps = %d, want 0 (recovery was poll-only)", got)
+	}
+	if got := followerTelemetry(t, fdb, f); got != (followerStats{}) {
+		t.Errorf("/v1/stats follower section = %+v, want zero (breaker closed, no rebootstraps)", got)
 	}
 }

@@ -10,6 +10,7 @@ import (
 	"math/rand/v2"
 	"net/http"
 	"strconv"
+	"sync/atomic"
 	"time"
 
 	"sgmldb"
@@ -39,8 +40,11 @@ import (
 //     BreakerThreshold consecutive bootstrap failures the breaker opens
 //     and the loop probes half-open once per BreakerCooldown instead of
 //     hammering a primary that is itself struggling to checkpoint. One
-//     success closes it. The state is pushed into the database
-//     (Stats.BreakerOpen, /v1/health breaker_open) so operators see it.
+//     success closes it.
+//
+// The loop's own telemetry — re-bootstraps performed, breaker state —
+// lives here, read through Rebootstraps and BreakerOpen; a Server wired
+// with this Follower reports it on /v1/health and /v1/stats.
 type Follower struct {
 	DB      *sgmldb.Database // an OpenFollower database
 	Primary string           // primary base URL, e.g. http://10.0.0.1:8080
@@ -55,7 +59,16 @@ type Follower struct {
 	BootstrapTimeout time.Duration // per-bootstrap request deadline
 	BreakerThreshold int           // consecutive bootstrap failures that open the breaker
 	BreakerCooldown  time.Duration // delay between half-open probes while the breaker is open
+
+	rebootstraps atomic.Uint64
+	breakerOpen  atomic.Bool
 }
+
+// Rebootstraps is the number of checkpoint bootstraps Run has performed.
+func (f *Follower) Rebootstraps() uint64 { return f.rebootstraps.Load() }
+
+// BreakerOpen reports whether the bootstrap circuit breaker is open.
+func (f *Follower) BreakerOpen() bool { return f.breakerOpen.Load() }
 
 // feedGrace pads the feed request deadline past the long-poll window:
 // the window is server time, the grace covers the network round-trip and
@@ -147,13 +160,13 @@ func (f *Follower) Run(ctx context.Context) error {
 			// Any successful round-trip closes the breaker, not only a
 			// bootstrap: a loop that recovered via a plain poll must not
 			// report breaker_open forever (or keep the cooldown pacing).
-			f.DB.SetBreakerOpen(false)
+			f.breakerOpen.Store(false)
 			attempt, bootFails = 0, 0
 			continue
 		case errors.Is(err, errBootstrap):
 			if berr := f.bootstrap(ctx); berr == nil {
-				f.DB.ObserveRebootstrap()
-				f.DB.SetBreakerOpen(false)
+				f.rebootstraps.Add(1)
+				f.breakerOpen.Store(false)
 				attempt, bootFails = 0, 0
 				continue
 			} else if ctx.Err() != nil {
@@ -163,7 +176,7 @@ func (f *Follower) Run(ctx context.Context) error {
 			// count it toward the breaker, then back off and retry the
 			// whole handshake.
 			if bootFails++; bootFails >= f.breakerThreshold() {
-				f.DB.SetBreakerOpen(true)
+				f.breakerOpen.Store(true)
 			}
 		case ctx.Err() != nil:
 			return ctx.Err()
@@ -174,7 +187,7 @@ func (f *Follower) Run(ctx context.Context) error {
 			attempt = 0
 		}
 		delay := f.backoffDelay(attempt)
-		if f.DB.BreakerOpen() {
+		if f.breakerOpen.Load() {
 			// Open breaker: one half-open probe per cooldown, nothing in
 			// between. The cooldown dominates the jittered backoff.
 			delay = f.breakerCooldown()

@@ -29,7 +29,7 @@ import (
 //	DELETE /v1/execute/{handle} close a handle
 //	POST   /v1/load             batch SGML load, all-or-nothing
 //	GET    /v1/health           liveness + draining (no auth)
-//	GET    /v1/stats            engine + service counters
+//	GET    /v1/stats            engine, follower and service counters
 type Server struct {
 	db  *sgmldb.Database
 	mux *http.ServeMux
@@ -62,6 +62,11 @@ type Server struct {
 	// primary now and has nothing to follow. Set before serving; called
 	// from the request handler's goroutine.
 	OnPromote func(newTerm uint64)
+
+	// Follower, when set, is the replication client tailing a primary
+	// into db; /v1/health and /v1/stats report its telemetry. Set before
+	// serving.
+	Follower *Follower
 }
 
 // tenant is one tenant's runtime state: its config grant, an admission
@@ -191,7 +196,7 @@ func statusFor(code string) int {
 		return http.StatusBadRequest
 	case codeUnauthorized:
 		return http.StatusUnauthorized
-	case codeForbidden, sgmldb.CodeReadOnly, sgmldb.CodeNoMapping, sgmldb.CodeNotPrimary:
+	case codeForbidden, sgmldb.CodeReadOnly, sgmldb.CodeNotPrimary:
 		return http.StatusForbidden
 	case codeUnknownHandle, sgmldb.CodeUnknownObject, codeNoCheckpoint:
 		return http.StatusNotFound
@@ -625,9 +630,24 @@ func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {
 	// promotion as a term step, not a field appearing out of nowhere.
 	body["term"] = s.db.Term()
 	body["promotions"] = s.db.Promotions()
-	body["rebootstraps"] = s.db.Rebootstraps()
-	body["breaker_open"] = s.db.BreakerOpen()
+	fs := s.followerStats()
+	body["rebootstraps"] = fs.Rebootstraps
+	body["breaker_open"] = fs.BreakerOpen
 	writeJSON(w, code, body)
+}
+
+// followerStats is the replication client's section of /v1/stats (zero
+// when no Follower is wired).
+type followerStats struct {
+	Rebootstraps uint64 `json:"rebootstraps"`
+	BreakerOpen  bool   `json:"breaker_open"`
+}
+
+func (s *Server) followerStats() followerStats {
+	if s.Follower == nil {
+		return followerStats{}
+	}
+	return followerStats{Rebootstraps: s.Follower.Rebootstraps(), BreakerOpen: s.Follower.BreakerOpen()}
 }
 
 // tenantStats is one tenant's row in the stats response.
@@ -640,8 +660,9 @@ type tenantStats struct {
 	Handles  int64  `json:"handles"`
 }
 
-// handleStats reports the engine counters (sgmldb.Stats) plus the
-// service-level view: per-tenant counters and the handle table.
+// handleStats reports the engine counters (sgmldb.Stats), the
+// replication client's telemetry, and the service-level view: per-tenant
+// counters and the handle table.
 func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 	if _, ok := s.tenantFor(r); !ok {
 		fail(w, codeUnauthorized, "missing or unknown API key")
@@ -671,7 +692,8 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 	// and diff-based monitors see phantom churn.
 	sort.Slice(tenants, func(i, j int) bool { return tenants[i].Name < tenants[j].Name })
 	writeJSON(w, http.StatusOK, map[string]any{
-		"engine": s.db.Stats(),
+		"engine":   s.db.Stats(),
+		"follower": s.followerStats(),
 		"service": map[string]any{
 			"draining": s.draining.Load(),
 			"handles":  numHandles,

@@ -81,39 +81,15 @@ func WriteCheckpoint(dir string, ck *Checkpoint) error {
 		os.Remove(tmpName)
 	}
 	w := bufio.NewWriter(tmp)
-	if _, err := fmt.Fprintf(w, "%s\nseq %d\nepoch %d\nterm %d\ndtd %d\n%s\n", checkpointMagic, ck.Seq, ck.Epoch, ck.Term, len(ck.DTD), ck.DTD); err != nil {
+	if err := EncodeCheckpoint(w, ck); err != nil {
 		cleanup()
 		return err
 	}
+	// The encoder's tail ("end") is still buffered here, so a crash
+	// copied at this seam sees a genuinely partial checkpoint file.
 	if err := fpCkptWrite.Hit(); err != nil {
-		// Flush what we have so a crash copied at this seam sees a
-		// genuinely partial checkpoint file.
-		w.Flush()
-		tmp.Close()
-		os.Remove(tmpName)
+		cleanup()
 		return fmt.Errorf("wal: checkpoint write: %w", err)
-	}
-	if _, err := fmt.Fprintf(w, "docs %d\n", len(ck.Docs)); err != nil {
-		cleanup()
-		return err
-	}
-	for _, o := range ck.Docs {
-		if _, err := fmt.Fprintf(w, "o %d\n", o); err != nil {
-			cleanup()
-			return err
-		}
-	}
-	if err := store.Save(w, ck.Inst); err != nil {
-		cleanup()
-		return err
-	}
-	if err := ck.Index.Encode(w); err != nil {
-		cleanup()
-		return err
-	}
-	if _, err := fmt.Fprintln(w, "end"); err != nil {
-		cleanup()
-		return err
 	}
 	if err := w.Flush(); err != nil {
 		cleanup()
@@ -145,6 +121,33 @@ func WriteCheckpoint(dir string, ck *Checkpoint) error {
 	}
 	pruneCheckpoints(dir, ck.Seq)
 	return nil
+}
+
+// EncodeCheckpoint writes ck to w in the checkpoint format
+// DecodeCheckpoint reads: a header (seq, epoch, term, DTD), the document
+// list, the instance, the text index and an end marker. It is the one
+// on-disk image of a database, whether written as a checkpoint file or
+// as a standalone image by Database.Save.
+func EncodeCheckpoint(w io.Writer, ck *Checkpoint) error {
+	if _, err := fmt.Fprintf(w, "%s\nseq %d\nepoch %d\nterm %d\ndtd %d\n%s\n", checkpointMagic, ck.Seq, ck.Epoch, ck.Term, len(ck.DTD), ck.DTD); err != nil {
+		return err
+	}
+	if _, err := fmt.Fprintf(w, "docs %d\n", len(ck.Docs)); err != nil {
+		return err
+	}
+	for _, o := range ck.Docs {
+		if _, err := fmt.Fprintf(w, "o %d\n", o); err != nil {
+			return err
+		}
+	}
+	if err := store.Save(w, ck.Inst); err != nil {
+		return err
+	}
+	if err := ck.Index.Encode(w); err != nil {
+		return err
+	}
+	_, err := fmt.Fprintln(w, "end")
+	return err
 }
 
 // pruneCheckpoints removes checkpoint files older than keepSeq and any

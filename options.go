@@ -38,7 +38,7 @@ func WithWorkers(n int) Option {
 }
 
 // WithMaxConcurrentQueries admits at most n queries at a time (across
-// Query, QueryContext, QueryRows and prepared Run/Rows); excess callers
+// Query, QueryContext and prepared Run); excess callers
 // queue until a slot frees, their context is done, or WithQueueTimeout
 // elapses — the latter two shed the query with ctx.Err() or
 // ErrOverloaded respectively. n <= 0 (the default) admits everything.
@@ -97,7 +97,7 @@ func WithCheckpointEvery(n int) Option {
 // WithQueryTimeout bounds each query's wall-clock evaluation time,
 // enforced at the same strided polls as cancellation; an expired query
 // fails with ErrBudgetExceeded. Unlike a context deadline it needs no
-// caller cooperation, so it also covers Query and QueryRows. Zero (the
+// caller cooperation, so it also covers Query. Zero (the
 // default) is unlimited.
 func WithQueryTimeout(d time.Duration) Option {
 	return func(db *Database) { db.Engine.Budget.MaxDuration = d }

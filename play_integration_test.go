@@ -101,7 +101,7 @@ func TestPlaySchemaShape(t *testing.T) {
 func TestPlayQueries(t *testing.T) {
 	db := playDB(t)
 	for _, mode := range []bool{false, true} {
-		db.UseAlgebra(mode)
+		db.Engine.UseAlgebra = mode
 
 		// Every speaker, through path variables.
 		speakers, err := db.Query(`select s from the_play PATH_p.speaker(s)`)
@@ -196,7 +196,7 @@ func TestPlayExportRoundTrip(t *testing.T) {
 func TestPlayMarkerProjection(t *testing.T) {
 	db := playDB(t)
 	// Union markers are queryable: which kinds of scene content exist?
-	rows, err := db.QueryRows(`select ATT_k from the_play .. a1[i].ATT_k(x)`)
+	rows, err := db.Engine.Rows(`select ATT_k from the_play .. a1[i].ATT_k(x)`)
 	if err != nil {
 		t.Fatal(err)
 	}

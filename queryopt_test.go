@@ -76,10 +76,7 @@ func TestQueryOptionsEnforced(t *testing.T) {
 	if _, err := db.QueryContext(context.Background(), wideQuery, QMaxRows(1)); !errors.Is(err, ErrBudgetExceeded) {
 		t.Errorf("QMaxRows(1): err = %v, want ErrBudgetExceeded", err)
 	}
-	if _, err := db.QueryRows(wideQuery, QMaxRows(1)); !errors.Is(err, ErrBudgetExceeded) {
-		t.Errorf("QueryRows QMaxRows(1): err = %v, want ErrBudgetExceeded", err)
-	}
-	if _, err := db.QueryRowsContext(context.Background(), wideQuery, QMaxMemory(1)); !errors.Is(err, ErrBudgetExceeded) {
+	if _, err := db.QueryContext(context.Background(), wideQuery, QMaxMemory(1)); !errors.Is(err, ErrBudgetExceeded) {
 		t.Errorf("QMaxMemory(1): err = %v, want ErrBudgetExceeded", err)
 	}
 
@@ -93,8 +90,8 @@ func TestQueryOptionsEnforced(t *testing.T) {
 	if _, err := pq.Run(context.Background(), QMaxRows(1)); !errors.Is(err, ErrBudgetExceeded) {
 		t.Errorf("prepared Run QMaxRows(1): err = %v, want ErrBudgetExceeded", err)
 	}
-	if _, err := pq.Rows(context.Background(), QMaxRows(1)); !errors.Is(err, ErrBudgetExceeded) {
-		t.Errorf("prepared Rows QMaxRows(1): err = %v, want ErrBudgetExceeded", err)
+	if _, err := pq.Run(context.Background(), QMaxMemory(1)); !errors.Is(err, ErrBudgetExceeded) {
+		t.Errorf("prepared Run QMaxMemory(1): err = %v, want ErrBudgetExceeded", err)
 	}
 	// The per-call budget is per execution, not sticky: the statement
 	// still runs unlimited afterwards.

@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"sgmldb/internal/object"
-	"sgmldb/internal/oql"
 	"sgmldb/internal/sgml"
 	"sgmldb/internal/wal"
 )
@@ -107,9 +106,9 @@ func (db *Database) Promote() (uint64, error) {
 		return 0, fmt.Errorf("%w: promotion requires a durable follower (WithDataDir)", ErrNotPrimary)
 	}
 	db.loadMu.Lock()
-	if db.walClosed {
+	if err := db.closedErr(); err != nil {
 		db.loadMu.Unlock()
-		return 0, fmt.Errorf("sgmldb: promote: database is closed")
+		return 0, err
 	}
 	if err := db.degradedErr(); err != nil {
 		db.loadMu.Unlock()
@@ -163,22 +162,6 @@ func (db *Database) ObservePrimarySeq(seq uint64) {
 	}
 }
 
-// ObserveRebootstrap counts one checkpoint re-bootstrap performed by the
-// replication client, for Stats and health.
-func (db *Database) ObserveRebootstrap() { db.rebootstrap.Add(1) }
-
-// Rebootstraps is the number of checkpoint bootstraps the replication
-// client has performed against this follower since open.
-func (db *Database) Rebootstraps() uint64 { return db.rebootstrap.Load() }
-
-// SetBreakerOpen publishes the replication client's circuit-breaker
-// state, for Stats and health.
-func (db *Database) SetBreakerOpen(open bool) { db.breakerOpen.Store(open) }
-
-// BreakerOpen reports whether the replication client's bootstrap circuit
-// breaker is currently open.
-func (db *Database) BreakerOpen() bool { return db.breakerOpen.Load() }
-
 // ApplyCheckpoint installs a primary checkpoint wholesale — the follower
 // bootstrap path, used when the feed reports the follower's anchor was
 // truncated away (SEQ_TRUNCATED) or divergent at a promotion boundary
@@ -202,6 +185,9 @@ func (db *Database) ApplyCheckpoint(ck *wal.Checkpoint) error {
 	}
 	db.loadMu.Lock()
 	defer db.loadMu.Unlock()
+	if err := db.closedErr(); err != nil {
+		return err
+	}
 	if ck.Seq <= db.appliedSeq.Load() && ck.Term <= db.term.Load() {
 		return nil
 	}
@@ -222,14 +208,7 @@ func (db *Database) ApplyCheckpoint(ck *wal.Checkpoint) error {
 		}
 		db.recordsSinceCkpt = 0
 	}
-	inst := ck.Inst
-	inst.SetEpoch(ck.Epoch)
-	docs := make([]object.OID, len(ck.Docs))
-	for i, o := range ck.Docs {
-		docs[i] = object.OID(o)
-	}
-	db.Loader.Adopt(inst, docs)
-	db.Engine.Publish(oql.State{Snap: inst.Snapshot(), Index: ck.Index})
+	db.adopt(ck)
 	db.appliedSeq.Store(ck.Seq)
 	db.raiseTerm(ck.Term)
 	db.ObservePrimarySeq(ck.Seq)
@@ -250,6 +229,9 @@ func (db *Database) ApplyRecord(rec wal.Record) error {
 	}
 	db.loadMu.Lock()
 	defer db.loadMu.Unlock()
+	if err := db.closedErr(); err != nil {
+		return err
+	}
 	applied := db.appliedSeq.Load()
 	if rec.Seq > applied+1 {
 		return fmt.Errorf("%w: record %d arrived with only %d applied", ErrReplicaGap, rec.Seq, applied)

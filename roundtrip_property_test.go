@@ -6,7 +6,9 @@ package sgmldb
 // round-trip the whole instance.
 
 import (
+	"bytes"
 	"fmt"
+	"os"
 	"path/filepath"
 	"testing"
 
@@ -15,7 +17,7 @@ import (
 	"sgmldb/internal/dtdmap"
 	"sgmldb/internal/object"
 	"sgmldb/internal/sgml"
-	"sgmldb/internal/store"
+	"sgmldb/internal/wal"
 )
 
 func TestPropertyGeneratedCorpusRoundTrips(t *testing.T) {
@@ -73,14 +75,24 @@ func TestPropertySnapshotPreservesWholeInstance(t *testing.T) {
 			t.Fatal(err)
 		}
 		inst := db.Loader.Instance
-		path := filepath.Join(t.TempDir(), fmt.Sprintf("s%d.snap", seed))
-		if err := store.SaveFile(path, inst); err != nil {
+		docs := make([]uint64, 0, 3)
+		for _, o := range db.Loader.Documents() {
+			docs = append(docs, uint64(o))
+		}
+		var img bytes.Buffer
+		ck := &wal.Checkpoint{DTD: corpus.ArticleDTD, Docs: docs, Inst: inst, Index: db.Index}
+		if err := wal.EncodeCheckpoint(&img, ck); err != nil {
 			t.Fatal(err)
 		}
-		inst2, err := store.LoadFile(path)
+		path := filepath.Join(t.TempDir(), fmt.Sprintf("s%d.snap", seed))
+		if err := os.WriteFile(path, img.Bytes(), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		db2, err := OpenSnapshot(path)
 		if err != nil {
 			t.Fatal(err)
 		}
+		inst2 := db2.Instance()
 		if inst2.NumObjects() != inst.NumObjects() {
 			t.Fatalf("seed %d: object count %d vs %d", seed, inst2.NumObjects(), inst.NumObjects())
 		}
@@ -100,10 +112,6 @@ func TestPropertySnapshotPreservesWholeInstance(t *testing.T) {
 			t.Fatalf("seed %d: reloaded instance invalid: %v", seed, errs)
 		}
 		// Queries over the reloaded instance agree with the original.
-		db2, err := OpenSnapshot(path)
-		if err != nil {
-			t.Fatal(err)
-		}
 		const q = `select t from a in Articles, a PATH_p.title(t)`
 		want, err := db.Env.Eval(mustLower(t, db2, q))
 		if err != nil {

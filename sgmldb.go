@@ -13,8 +13,11 @@
 //	db.Name("my_article", oid)                    // a root of persistence
 //	res, _ := db.Query(`select t from my_article PATH_p.title(t)`)
 //
-// Everything is stdlib-only and in-memory, with snapshot persistence via
-// Save and OpenSnapshot.
+// Everything is stdlib-only and in-memory. Save writes the database as
+// one self-contained image (instance, full-text index and DTD) that
+// OpenSnapshot reopens as an ordinary in-memory database; WithDataDir
+// makes a database durable through a write-ahead log whose checkpoints
+// are the same image.
 //
 // # Concurrency
 //
@@ -28,14 +31,13 @@
 // instance is never touched, so no orphan objects can appear (load
 // atomicity by construction).
 //
-// Readers (Query, QueryContext, QueryRows, prepared Run/Rows, Text,
-// Check, Stats, Save, Export) pin the snapshot current at their start and
-// never block on writers — a query and a load overlap freely, with the
-// query answering against the consistent pre-load state. Published
-// snapshots are immutable, so the hot evaluation path pays no per-object
-// synchronisation. Query evaluation itself can additionally use multiple
-// goroutines per query (see WithWorkers) and is cancellable through
-// QueryContext.
+// Readers (Query, QueryContext, prepared Run, Text, Check, Stats, Export)
+// pin the snapshot current at their start and never block on writers — a
+// query and a load overlap freely, with the query answering against the
+// consistent pre-load state. Published snapshots are immutable, so the
+// hot evaluation path pays no per-object synchronisation. Query
+// evaluation itself can additionally use multiple goroutines per query
+// (see WithWorkers) and is cancellable through QueryContext.
 //
 // # Robustness
 //
@@ -53,6 +55,7 @@
 package sgmldb
 
 import (
+	"bufio"
 	"context"
 	"fmt"
 	"os"
@@ -128,14 +131,10 @@ type Database struct {
 	// writes (or applies) under; fencedTerm is the highest term observed
 	// from any remote — a primary whose fencedTerm exceeds its own term
 	// has been superseded and refuses writes with ErrStaleTerm.
-	// promotions counts term raises observed (including our own Promote);
-	// rebootstraps and breakerOpen are follower-client telemetry pushed in
-	// by service.Follower so Stats and /v1/health can report them.
-	term        atomic.Uint64
-	fencedTerm  atomic.Uint64
-	promotions  atomic.Uint64
-	rebootstrap atomic.Uint64
-	breakerOpen atomic.Bool
+	// promotions counts term raises observed (including our own Promote).
+	term       atomic.Uint64
+	fencedTerm atomic.Uint64
+	promotions atomic.Uint64
 }
 
 // acquire admits one query, blocking while WithMaxConcurrentQueries
@@ -188,6 +187,29 @@ func OpenDTD(dtdSource string, opts ...Option) (*Database, error) {
 // must be set before a durable recovery runs, because a follower's data
 // directory replays the primary's shipped history, not its own writes.
 func open(dtdSource string, follower bool, opts []Option) (*Database, error) {
+	db, err := newDatabase(dtdSource, opts)
+	if err != nil {
+		return nil, err
+	}
+	db.follower.Store(follower)
+	if db.dataDir != "" {
+		// Durable open: recover the last durable state from the data
+		// directory (or initialize a fresh one) instead of publishing the
+		// empty instance. See durable.go.
+		if err := db.openDurable(); err != nil {
+			return nil, err
+		}
+		return db, nil
+	}
+	db.Engine.Publish(oql.State{Snap: db.Loader.Instance.Snapshot(), Index: db.Engine.Index})
+	return db, nil
+}
+
+// newDatabase compiles and maps the DTD, builds the engine over the
+// loader's empty instance and applies the open options. Nothing is
+// published yet: the caller publishes the empty instance, recovers a
+// data directory, or adopts an image.
+func newDatabase(dtdSource string, opts []Option) (*Database, error) {
 	dtd, err := sgml.ParseDTD(dtdSource)
 	if err != nil {
 		return nil, err
@@ -197,33 +219,31 @@ func open(dtdSource string, follower bool, opts []Option) (*Database, error) {
 		return nil, err
 	}
 	loader := dtdmap.NewLoader(m)
-	db := &Database{Mapping: m, Loader: loader}
-	db.follower.Store(follower)
-	db.dtdSource = dtdSource
-	db.wire(loader.Instance, opts)
-	if db.dataDir != "" {
-		// Durable open: recover the last durable state from the data
-		// directory (or initialize a fresh one) instead of publishing the
-		// empty instance. See durable.go.
-		if err := db.openDurable(dtdSource); err != nil {
-			return nil, err
-		}
-		return db, nil
-	}
-	db.Engine.Publish(oql.State{Snap: loader.Instance.Snapshot(), Index: db.Engine.Index})
-	return db, nil
-}
-
-// wire builds the engine over an instance and applies the open options.
-// The caller publishes the initial snapshot once the index is built.
-func (db *Database) wire(inst *store.Instance, opts []Option) {
-	env := calculus.NewEnv(inst)
+	db := &Database{Mapping: m, Loader: loader, dtdSource: dtdSource}
+	env := calculus.NewEnv(loader.Instance)
 	env.TextOf = dtdmap.TextOf
 	db.Engine = oql.New(env)
 	db.Engine.Index = text.NewIndex()
 	for _, opt := range opts {
 		opt(db)
 	}
+	return db, nil
+}
+
+// adopt installs a checkpoint image wholesale — recovery's newest
+// checkpoint, a follower's bootstrap, a reopened Save image: the epoch is
+// re-anchored so the sequence continues where the image ended, the
+// loader continues from the image's documents, and the image's instance
+// and index are published together. Caller holds loadMu or owns db
+// exclusively (open).
+func (db *Database) adopt(ck *wal.Checkpoint) {
+	ck.Inst.SetEpoch(ck.Epoch)
+	docs := make([]object.OID, len(ck.Docs))
+	for i, o := range ck.Docs {
+		docs[i] = object.OID(o)
+	}
+	db.Loader.Adopt(ck.Inst, docs)
+	db.Engine.Publish(oql.State{Snap: ck.Inst.Snapshot(), Index: ck.Index})
 }
 
 // state returns the published snapshot queries and read-only methods
@@ -246,7 +266,8 @@ func (db *Database) Schema() *store.Schema { return db.Instance().Schema() }
 // persistence root (e.g. Articles) and to the full-text index. The load
 // is atomic — on error the published database state is exactly what it
 // was — and concurrent queries keep running against the pre-load
-// snapshot. On a snapshot database it reports ErrReadOnly.
+// snapshot. On a follower or a closed durable database it reports
+// ErrReadOnly.
 func (db *Database) LoadDocument(src string) (object.OID, error) {
 	oids, err := db.LoadDocuments([]string{src})
 	if err != nil {
@@ -268,9 +289,6 @@ func (db *Database) LoadDocument(src string) (object.OID, error) {
 // ErrInternal); the published snapshot was never touched, so concurrent
 // queries are unaffected either way.
 func (db *Database) LoadDocuments(srcs []string) (oids []object.OID, err error) {
-	if db.Loader == nil {
-		return nil, ErrReadOnly
-	}
 	if db.follower.Load() {
 		return nil, fmt.Errorf("%w: followers apply the primary's log only", ErrReadOnly)
 	}
@@ -313,6 +331,9 @@ func (db *Database) LoadDocuments(srcs []string) (oids []object.OID, err error) 
 //
 //sgmldbvet:commitpath
 func (db *Database) commitLoad(docs []*sgml.Document, srcs []string, logIt bool, recTerm uint64) (oids []object.OID, err error) {
+	if err := db.closedErr(); err != nil {
+		return nil, err
+	}
 	if logIt {
 		if err := db.fencedErr(); err != nil {
 			return nil, err
@@ -372,6 +393,9 @@ func (db *Database) Name(name string, oid object.OID) (err error) {
 //
 //sgmldbvet:commitpath
 func (db *Database) commitName(name string, oid object.OID, logIt bool, recTerm uint64) error {
+	if err := db.closedErr(); err != nil {
+		return err
+	}
 	if logIt {
 		if err := db.fencedErr(); err != nil {
 			return err
@@ -405,9 +429,7 @@ func (db *Database) commitName(name string, oid object.OID, logIt bool, recTerm 
 	db.Engine.Publish(oql.State{Snap: staged.Snapshot(), Index: cur.Index})
 	// The loader must build the next load on the newly published version,
 	// or it would branch from a stale base and drop the root binding.
-	if db.Loader != nil {
-		db.Loader.Instance = staged
-	}
+	db.Loader.Instance = staged
 	if logIt {
 		db.maybeCheckpoint(staged, cur.Index)
 	}
@@ -440,28 +462,8 @@ func (db *Database) QueryContext(ctx context.Context, src string, opts ...QueryO
 	return db.Engine.QueryBudget(ctx, src, db.callBudget(opts))
 }
 
-// QueryRows runs a query and returns the raw rows with their sorted
-// bindings (paths stay paths). It is QueryRowsContext under
-// context.Background.
-func (db *Database) QueryRows(src string, opts ...QueryOption) (*calculus.Result, error) {
-	return db.QueryRowsContext(context.Background(), src, opts...)
-}
-
-// QueryRowsContext is QueryRows under a context, with per-call options
-// tightening the database budgets for this one execution.
-func (db *Database) QueryRowsContext(ctx context.Context, src string, opts ...QueryOption) (res *calculus.Result, err error) {
-	release, err := db.acquire(ctx)
-	if err != nil {
-		return nil, err
-	}
-	defer release()
-	defer func() { db.observe(err) }()
-	defer rescue(&err)
-	return db.Engine.RowsBudget(ctx, src, db.callBudget(opts))
-}
-
 // Prepare parses, typechecks and compiles a query once for repeated —
-// possibly concurrent — execution via Run or Rows.
+// possibly concurrent — execution via Run.
 func (db *Database) Prepare(src string) (pq *PreparedQuery, err error) {
 	defer rescue(&err)
 	p, err := db.Engine.Prepare(src)
@@ -498,30 +500,6 @@ func (pq *PreparedQuery) Run(ctx context.Context, opts ...QueryOption) (v object
 	return pq.p.RunBudget(ctx, pq.db.callBudget(opts))
 }
 
-// Rows evaluates the prepared query and returns the raw rows.
-func (pq *PreparedQuery) Rows(ctx context.Context, opts ...QueryOption) (res *calculus.Result, err error) {
-	release, err := pq.db.acquire(ctx)
-	if err != nil {
-		return nil, err
-	}
-	defer release()
-	defer func() { pq.db.observe(err) }()
-	defer rescue(&err)
-	return pq.p.RowsBudget(ctx, pq.db.callBudget(opts))
-}
-
-// UseAlgebra switches evaluation to the Section 5.4 algebra plans.
-//
-// Deprecated: prefer the WithAlgebra open option, which fixes the
-// evaluation strategy before any query can run. UseAlgebra remains for
-// compatibility; like the option it must not be called while queries are
-// in flight.
-func (db *Database) UseAlgebra(on bool) {
-	db.loadMu.Lock()
-	defer db.loadMu.Unlock()
-	db.Engine.UseAlgebra = on
-}
-
 // Text returns the text of a logical object (the text operator).
 func (db *Database) Text(v object.Value) string {
 	return dtdmap.TextOf(db.Instance(), v)
@@ -533,62 +511,64 @@ func (db *Database) Check() []error {
 	return db.Instance().Check()
 }
 
-// Save writes a snapshot of the database to a file.
+// Save writes the published version to path as one self-contained
+// image: the instance, the full-text index, the document list and the
+// DTD, in the checkpoint format of the write-ahead log (DESIGN.md §8).
+// Like a checkpoint, the image is captured under the writer lock, so the
+// document list matches the epoch; the encoding runs outside it. On a
+// durable database the image is the checkpoint Checkpoint would write;
+// without a log its sequence and term are 0.
 func (db *Database) Save(path string) error {
-	return store.SaveFile(path, db.Instance())
+	db.loadMu.Lock()
+	st := db.state()
+	ck := db.captureCheckpoint(st.Snap.Inst, st.Index)
+	db.loadMu.Unlock()
+	f, err := os.Create(path)
+	if err != nil {
+		return err
+	}
+	w := bufio.NewWriter(f)
+	if err := wal.EncodeCheckpoint(w, ck); err != nil {
+		f.Close()
+		return err
+	}
+	if err := w.Flush(); err != nil {
+		f.Close()
+		return err
+	}
+	return f.Close()
 }
 
-// OpenSnapshot reopens a saved database for querying. Loading further
-// documents requires the original DTD (use OpenDTD and reload instead).
+// OpenSnapshot reopens an image written by Save (or a checkpoint file of
+// a data directory) as an ordinary in-memory database: the mapping comes
+// from the image's own DTD, so it queries, loads, names and exports like
+// a database opened with OpenDTD. WithDataDir is refused — a durable
+// database recovers from its own directory through OpenDTD.
 func OpenSnapshot(path string, opts ...Option) (*Database, error) {
-	inst, err := store.LoadFile(path)
+	f, err := os.Open(path)
 	if err != nil {
 		return nil, err
 	}
-	db := &Database{}
-	db.wire(inst, opts)
+	defer f.Close()
+	ck, err := wal.DecodeCheckpoint(f)
+	if err != nil {
+		return nil, fmt.Errorf("sgmldb: %s is not a database image: %w", path, err)
+	}
+	db, err := newDatabase(ck.DTD, opts)
+	if err != nil {
+		return nil, err
+	}
 	if db.dataDir != "" {
-		return nil, fmt.Errorf("sgmldb: WithDataDir needs the DTD to replay loads; use OpenDTD")
+		return nil, fmt.Errorf("sgmldb: OpenSnapshot does not take WithDataDir; open a data directory with OpenDTD")
 	}
-	// Rebuild the full-text index over the document roots: both plural
-	// roots (lists of documents) and singular roots naming one document.
-	indexed := map[object.OID]bool{}
-	addDoc := func(o object.OID) {
-		if !indexed[o] {
-			indexed[o] = true
-			db.Engine.Index.Add(text.DocID(o), dtdmap.TextOf(inst, o))
-		}
-	}
-	for _, g := range inst.Schema().Roots() {
-		v, ok := inst.Root(g)
-		if !ok {
-			continue
-		}
-		switch r := v.(type) {
-		case *object.List:
-			for i := 0; i < r.Len(); i++ {
-				if o, isOID := r.At(i).(object.OID); isOID {
-					addDoc(o)
-				}
-			}
-		case object.OID:
-			addDoc(r)
-		default:
-			// other root shapes hold no document objects
-		}
-	}
-	db.Engine.Publish(oql.State{Snap: inst.Snapshot(), Index: db.Engine.Index})
+	db.adopt(ck)
 	return db, nil
 }
 
 // Export reconstructs the SGML source of a loaded document object — the
 // inverse mapping of the paper's footnote 1. The result re-parses and
-// re-loads to an isomorphic instance. It reports ErrNoMapping on a
-// database opened without the DTD.
+// re-loads to an isomorphic instance.
 func (db *Database) Export(doc object.OID) (string, error) {
-	if db.Mapping == nil {
-		return "", fmt.Errorf("%w: export", ErrNoMapping)
-	}
 	return dtdmap.Export(db.Mapping, db.Instance(), doc)
 }
 

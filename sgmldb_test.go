@@ -44,7 +44,7 @@ func TestFacadeQuickstart(t *testing.T) {
 		t.Errorf("titles = %s", s)
 	}
 	// Algebra mode agrees.
-	db.UseAlgebra(true)
+	db.Engine.UseAlgebra = true
 	got2, err := db.Query(`select t from my_article PATH_p.title(t)`)
 	if err != nil {
 		t.Fatal(err)
@@ -79,9 +79,20 @@ func TestFacadeSnapshotRoundTrip(t *testing.T) {
 	if got.(*object.Set).Len() != 1 {
 		t.Errorf("snapshot query = %s", got)
 	}
-	// Snapshot databases refuse further documents.
+	// A reopened image is an ordinary database: it validates and loads
+	// further documents.
 	if _, err := db2.LoadDocument("<article></article>"); err == nil {
-		t.Error("snapshot must be read-only for documents")
+		t.Error("invalid document accepted by a reopened image")
+	}
+	if _, err := db2.LoadDocumentFile("testdata/article.sgml"); err != nil {
+		t.Fatalf("load into reopened image: %v", err)
+	}
+	got, err = db2.Query(`select a from a in Articles where a contains "SGML"`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.(*object.Set).Len() != 2 {
+		t.Errorf("after load, contains = %s, want both articles", got)
 	}
 }
 
@@ -127,7 +138,7 @@ func TestFacadeExport(t *testing.T) {
 	if db.Text(art) != db.Text(oid2) {
 		t.Error("export changed document text")
 	}
-	// Snapshot databases cannot export (no mapping).
+	// A reopened image exports the same document: it carries its DTD.
 	path := filepath.Join(t.TempDir(), "x.snap")
 	if err := db.Save(path); err != nil {
 		t.Fatal(err)
@@ -136,8 +147,12 @@ func TestFacadeExport(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := db2.Export(art.(object.OID)); err == nil {
-		t.Error("snapshot export must fail without a mapping")
+	out2, err := db2.Export(art.(object.OID))
+	if err != nil {
+		t.Fatalf("export from reopened image: %v", err)
+	}
+	if out2 != out {
+		t.Error("reopened image exports a different document")
 	}
 }
 
@@ -164,7 +179,7 @@ func TestFacadeQ4AcrossVersions(t *testing.T) {
 	if diff.(*object.Set).Len() == 0 {
 		t.Error("Q4 difference must be non-empty")
 	}
-	rows, err := db.QueryRows(`select t from my_new_article PATH_p.title(t)`)
+	rows, err := db.Engine.Rows(`select t from my_new_article PATH_p.title(t)`)
 	if err != nil {
 		t.Fatal(err)
 	}

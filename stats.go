@@ -20,8 +20,7 @@ type Stats struct {
 	Epoch uint64
 
 	// QueriesServed counts admitted query executions (across Query,
-	// QueryContext, QueryRows, QueryRowsContext and prepared Run/Rows),
-	// successes and failures alike.
+	// QueryContext and prepared Run), successes and failures alike.
 	QueriesServed uint64
 	// QueriesShed counts queries rejected by admission control with
 	// ErrOverloaded; they are not in QueriesServed.
@@ -75,13 +74,11 @@ type Stats struct {
 	// Failover telemetry (DESIGN.md §12). Term is the promotion epoch this
 	// node writes or applies under (0 on a non-replicating database);
 	// Promotions counts the term raises observed since open — our own
-	// Promote calls plus promotions applied from the feed. Rebootstraps
-	// counts the replication client's checkpoint bootstraps; BreakerOpen
-	// reports its bootstrap circuit breaker tripped open.
-	Term         uint64
-	Promotions   uint64
-	Rebootstraps uint64
-	BreakerOpen  bool
+	// Promote calls plus promotions applied from the feed. The
+	// replication client's own telemetry (re-bootstraps, circuit breaker)
+	// lives in service.Follower.
+	Term       uint64
+	Promotions uint64
 }
 
 // metrics holds the facade's cumulative counters. All atomic: they are
@@ -137,7 +134,5 @@ func (db *Database) Stats() Stats {
 	}
 	st.Term = db.term.Load()
 	st.Promotions = db.promotions.Load()
-	st.Rebootstraps = db.rebootstrap.Load()
-	st.BreakerOpen = db.breakerOpen.Load()
 	return st
 }
