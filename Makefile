@@ -1,10 +1,10 @@
 # Development targets. `make ci` is the extended verify recorded in
 # ROADMAP.md: vet + sgmldbvet + build + the full test suite under the
 # race detector + the chaos (fault-injection) suite + the crash-recovery
-# suite + a fuzz smoke of the SGML parsers and the WAL record decoder +
-# the network-service smoke (real sgmldbd process, load-generator burst,
-# clean drain) + a smoke run of every benchmark + a build and test of the
-# perfbench module.
+# suite + a fuzz smoke of the SGML parsers, the WAL record decoder and
+# the text-index checkpoint decoder + the network-service smoke (real
+# sgmldbd process, load-generator burst, clean drain) + a smoke run of
+# every benchmark + a build and test of the perfbench module.
 
 GO ?= go
 
@@ -47,6 +47,7 @@ fuzz:
 	$(GO) test ./internal/sgml/ -run='^$$' -fuzz=FuzzParseDTD -fuzztime=5s -fuzzminimizetime=10x
 	$(GO) test ./internal/sgml/ -run='^$$' -fuzz=FuzzParseDocument -fuzztime=5s -fuzzminimizetime=10x
 	$(GO) test ./internal/wal/ -run='^$$' -fuzz=FuzzWALRecord -fuzztime=5s -fuzzminimizetime=10x
+	$(GO) test ./internal/text/ -run='^$$' -fuzz=FuzzDecodeIndex -fuzztime=5s -fuzzminimizetime=10x
 
 # The fault-injection suite under the race detector, alone and
 # repeated: injected failures mid-load, evaluator panics, budget trips

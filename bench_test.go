@@ -68,7 +68,7 @@ func engineFor(db *corpus.Database, algebraMode bool, withIndex bool) *oql.Engin
 	e := oql.New(db.Env)
 	e.UseAlgebra = algebraMode
 	if withIndex {
-		e.Index = db.Index
+		e.Publish(oql.State{Snap: db.Env.Inst.Snapshot(), Index: db.Index})
 	}
 	return e
 }

@@ -103,8 +103,9 @@ func TestChaosSitesEnumerated(t *testing.T) {
 }
 
 // loadFaultCases enumerates the staging-path sites together with how
-// their injected failure surfaces: an error return from the loader, or a
-// panic (sites without an error return) contained as ErrInternal.
+// their injected failure surfaces: an error return from the loader or the
+// index, or a panic (sites without an error return) contained as
+// ErrInternal.
 // Per-document sites fail on the second hit, so the batch dies with one
 // document already staged; per-batch sites are hit once and fail there.
 var loadFaultCases = []struct {
@@ -115,7 +116,7 @@ var loadFaultCases = []struct {
 	{"dtdmap/load-doc", true, false},
 	{"dtdmap/set-root", false, false},
 	{"text/index-clone", false, true},
-	{"text/index-add", true, true},
+	{"text/index-add", true, false},
 }
 
 // TestChaosFailedLoadPublishesNothing injects a failure at every staging

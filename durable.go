@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"sgmldb/internal/object"
-	"sgmldb/internal/oql"
 	"sgmldb/internal/sgml"
 	"sgmldb/internal/store"
 	"sgmldb/internal/text"
@@ -43,8 +42,6 @@ func (db *Database) openDurable() error {
 			return fmt.Errorf("sgmldb: data directory %s holds a database for a different DTD", db.dataDir)
 		}
 		db.adopt(ck)
-	} else {
-		db.Engine.Publish(oql.State{Snap: db.Loader.Instance.Snapshot(), Index: db.Engine.Index})
 	}
 	// Replay the records the checkpoint does not cover, through the same
 	// commit path as live writes minus the append: loading is

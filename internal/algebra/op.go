@@ -397,8 +397,9 @@ func (o *antiOp) explain(b *strings.Builder, indent int) {
 	o.in.explain(b, indent+1)
 }
 
-// indexContainsOp filters rows whose variable holds an oid using the
-// full-text index as an access path; non-oid values fall back to text
+// indexContainsOp filters rows whose variable holds an oid the full-text
+// index holds (a document) using the index as an access path; every
+// other value — a sub-document object, a string — falls back to text
 // scanning.
 type indexContainsOp struct {
 	in   Op
@@ -434,7 +435,7 @@ func (o *indexContainsOp) Rows(ctx *Ctx) ([]calculus.Valuation, error) {
 			return nil, err
 		}
 		b := v[o.x]
-		if oid, isOID := b.Data.(object.OID); isOID {
+		if oid, isOID := b.Data.(object.OID); isOID && ctx.Index.Has(text.DocID(oid)) {
 			if docs[oid] {
 				out = append(out, v)
 			}

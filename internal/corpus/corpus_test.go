@@ -38,7 +38,7 @@ func TestBuildArticles(t *testing.T) {
 	}
 	// The corpus is queryable: sections with subsections exist.
 	e := oql.New(db.Env)
-	e.Index = db.Index
+	e.Publish(oql.State{Snap: db.Env.Inst.Snapshot(), Index: db.Index})
 	got, err := e.Query(`select ss from a in Articles, s in a.sections, ss in s.subsectns`)
 	if err != nil {
 		t.Fatal(err)
@@ -79,5 +79,50 @@ func TestZipfSkew(t *testing.T) {
 	// The most frequent word should dominate a mid-rank word heavily.
 	if counts["w0000"] < 5*counts["w0050"]+1 {
 		t.Errorf("distribution not skewed: w0000=%d w0050=%d", counts["w0000"], counts["w0050"])
+	}
+}
+
+// TestSubDocumentContainsNaiveVsAlgebra: the index holds documents only,
+// so a contains over sub-document objects (sections, subsections) must
+// scan their text under the algebra exactly as the naive evaluator does,
+// while a document-level contains keeps the index access path.
+func TestSubDocumentContainsNaiveVsAlgebra(t *testing.T) {
+	db, err := BuildArticles(Params{Docs: 20, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	engine := func(algebra bool) *oql.Engine {
+		e := oql.New(db.Env)
+		e.Publish(oql.State{Snap: db.Env.Inst.Snapshot(), Index: db.Index})
+		e.UseAlgebra = algebra
+		return e
+	}
+	naive, alg := engine(false), engine(true)
+	for _, q := range []string{
+		`select ss from a in Articles, s in a.sections, ss in s.subsectns where ss contains "w0001"`,
+		`select s from a in Articles, s in a.sections where s contains "w0001"`,
+		`select a from a in Articles where a contains "w0001"`,
+	} {
+		want, err := naive.Query(q)
+		if err != nil {
+			t.Fatalf("naive %s: %v", q, err)
+		}
+		got, err := alg.Query(q)
+		if err != nil {
+			t.Fatalf("algebra %s: %v", q, err)
+		}
+		if want.String() == "set()" {
+			t.Errorf("%s: naive answer is empty; the fixture should match", q)
+		}
+		if got.String() != want.String() {
+			t.Errorf("%s:\nalgebra %s\nnaive   %s", q, got, want)
+		}
+	}
+	plan, err := alg.Plan(`select a from a in Articles where a contains "w0001"`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(plan.Explain(), "index-contains") {
+		t.Errorf("document-level contains lost the index access path:\n%s", plan.Explain())
 	}
 }

@@ -212,7 +212,9 @@ func BuildArticles(p Params) (*Database, error) {
 			return nil, fmt.Errorf("corpus: article %d: %w", i, err)
 		}
 	}
-	db.finish()
+	if err := db.finish(); err != nil {
+		return nil, err
+	}
 	return db, nil
 }
 
@@ -240,17 +242,22 @@ func BuildLetters(p Params) (*Database, error) {
 			return nil, fmt.Errorf("corpus: letter %d: %w", i, err)
 		}
 	}
-	db.finish()
+	if err := db.finish(); err != nil {
+		return nil, err
+	}
 	return db, nil
 }
 
 // finish wires the text operator and builds the index.
-func (db *Database) finish() {
+func (db *Database) finish() error {
 	inst := db.Loader.Instance
 	db.Env = calculus.NewEnv(inst)
 	db.Env.TextOf = dtdmap.TextOf
 	db.Index = text.NewIndex()
 	for _, o := range db.Loader.Documents() {
-		db.Index.Add(text.DocID(o), dtdmap.TextOf(inst, o))
+		if err := db.Index.Add(text.DocID(o), dtdmap.TextOf(inst, o)); err != nil {
+			return fmt.Errorf("corpus: %w", err)
+		}
 	}
+	return nil
 }

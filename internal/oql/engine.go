@@ -34,20 +34,15 @@ type State struct {
 // evaluate, either naively or through the algebraization of Section 5.4.
 //
 // Concurrency: the query methods (Query, QueryContext, QueryBudget, Rows,
-// Prepare and prepared Run/RunBudget) are safe for concurrent use. When a
-// State has been published (Publish), every query pins the state current
-// at its start and evaluates entirely against it, so writers staging the
-// next version never block or corrupt a reader. Without a published
-// state the engine falls back to Env.Inst/Index directly, under the
-// single-writer/multi-reader discipline. The configuration fields
-// (UseAlgebra, MaxBranches, Workers, …) must not be changed while
-// queries are in flight.
+// Prepare and prepared Run/RunBudget) are safe for concurrent use. Every
+// query pins the published State current at its start and evaluates
+// entirely against it, so writers staging the next version never block
+// or corrupt a reader. The configuration fields (UseAlgebra, MaxBranches,
+// Workers, …) must not be changed while queries are in flight.
 type Engine struct {
 	Env *calculus.Env
-	// Index, when set, serves as the full-text access path for contains.
-	// It is the fallback when no State has been published.
-	Index *text.Index
-	// state is the atomically published snapshot (nil until Publish).
+	// state is the atomically published snapshot; its Index, when set,
+	// serves as the full-text access path for contains.
 	state atomic.Pointer[State]
 	// UseAlgebra evaluates through the (★) algebra plans instead of the
 	// naive calculus interpreter.
@@ -101,8 +96,18 @@ type planEntry struct {
 // DefaultPlanCacheSize is the plan-cache bound when PlanCacheSize is 0.
 const DefaultPlanCacheSize = 128
 
-// New builds an engine over an environment.
-func New(env *calculus.Env) *Engine { return &Engine{Env: env} }
+// New builds an engine over an environment and publishes the
+// environment's instance with no text index. Callers that want an index
+// Publish it together with the instance.
+func New(env *calculus.Env) *Engine {
+	e := &Engine{Env: env}
+	var st State
+	if env.Inst != nil {
+		st.Snap = env.Inst.Snapshot()
+	}
+	e.Publish(st)
+	return e
+}
 
 // Publish atomically installs a new (instance, index) state. In-flight
 // queries finish against the state they pinned; queries starting after
@@ -111,28 +116,15 @@ func New(env *calculus.Env) *Engine { return &Engine{Env: env} }
 // layers instead).
 func (e *Engine) Publish(st State) { e.state.Store(&st) }
 
-// State returns the currently published state, falling back to the
-// engine's direct Env.Inst and Index fields when nothing has been
-// published (the single-writer setup used by tests and one-shot tools).
-func (e *Engine) State() State {
-	if st := e.state.Load(); st != nil {
-		return *st
-	}
-	var snap store.Snapshot
-	if e.Env.Inst != nil {
-		snap = e.Env.Inst.Snapshot()
-	}
-	return State{Snap: snap, Index: e.Index}
-}
+// State returns the currently published state.
+func (e *Engine) State() State { return *e.state.Load() }
 
 // pin captures the environment and index for one query: every evaluation
 // step of the query uses this pair, so a load published mid-query is
 // invisible to it.
 func (e *Engine) pin() (*calculus.Env, *text.Index) {
-	if st := e.state.Load(); st != nil {
-		return e.Env.WithInstance(st.Snap.Inst), st.Index
-	}
-	return e.Env, e.Index
+	st := e.state.Load()
+	return e.Env.WithInstance(st.Snap.Inst), st.Index
 }
 
 // schemaVersionOf reports the pinned schema's mutation counter (0 when

@@ -95,7 +95,7 @@ func articleEngine(t *testing.T) *Engine {
 		ix.Add(text.DocID(o), dtdmap.TextOf(inst, o))
 	}
 	e := New(env)
-	e.Index = ix
+	e.Publish(State{Snap: inst.Snapshot(), Index: ix})
 	return e
 }
 
@@ -105,7 +105,7 @@ func bothEngines(t *testing.T, e *Engine, body func(t *testing.T, e *Engine)) {
 	t.Helper()
 	withMode := func(on bool) *Engine {
 		e2 := New(e.Env)
-		e2.Index = e.Index
+		e2.Publish(e.State())
 		e2.SkipTypecheck = e.SkipTypecheck
 		e2.MaxBranches = e.MaxBranches
 		e2.UseAlgebra = on
@@ -737,13 +737,13 @@ func TestIndexAcceleratedContains(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	savedIdx := e.Index
-	e.Index = nil
+	indexed := e.State()
+	e.Publish(State{Snap: indexed.Snap})
 	without, err := e.Query(src)
 	if err != nil {
 		t.Fatal(err)
 	}
-	e.Index = savedIdx
+	e.Publish(indexed)
 	if !object.Equal(withIdx, without) {
 		t.Errorf("index changes semantics: %s vs %s", withIdx, without)
 	}

@@ -18,40 +18,27 @@ import (
 
 const indexMagic = "sgmldb-textindex 1"
 
-// Encode writes the index in the checkpoint format. The index must be
-// quiescent (the checkpointer serializes a published, immutable version).
+// Encode writes the index in the checkpoint format. The checkpointer
+// serializes a published, immutable version.
 func (ix *Index) Encode(w io.Writer) error {
-	ix.docMu.RLock()
-	order := append([]DocID(nil), ix.order...)
-	ix.docMu.RUnlock()
 	if _, err := fmt.Fprintln(w, indexMagic); err != nil {
 		return err
 	}
-	if _, err := fmt.Fprintf(w, "docs %d\n", len(order)); err != nil {
+	if _, err := fmt.Fprintf(w, "docs %d\n", len(ix.order)); err != nil {
 		return err
 	}
-	for _, d := range order {
+	for _, d := range ix.order {
 		if _, err := fmt.Fprintf(w, "d %d\n", uint64(d)); err != nil {
 			return err
 		}
 	}
-	var words []string
-	byWord := map[string][]posting{}
-	for _, s := range ix.shards {
-		s.mu.RLock()
-		for word, ps := range s.vocab {
-			words = append(words, word)
-			byWord[word] = ps
-		}
-		s.mu.RUnlock()
-	}
-	sort.Strings(words)
+	words := ix.vocabulary()
 	if _, err := fmt.Fprintf(w, "words %d\n", len(words)); err != nil {
 		return err
 	}
 	var b strings.Builder
 	for _, word := range words {
-		ps := append([]posting(nil), byWord[word]...)
+		ps := append([]posting(nil), ix.vocab[word]...)
 		sort.Slice(ps, func(i, j int) bool { return ps[i].doc < ps[j].doc })
 		b.Reset()
 		b.WriteString("w ")
@@ -159,10 +146,12 @@ func (ix *Index) decodeWordLine(line string) error {
 		return fmt.Errorf("text: word line %q missing posting count", line)
 	}
 	k, err := strconv.Atoi(fields[0])
-	if err != nil || k < 0 {
+	fields = fields[1:]
+	// Each posting takes at least two fields, which bounds the count
+	// before it sizes an allocation.
+	if err != nil || k < 0 || k > len(fields)/2 {
 		return fmt.Errorf("text: bad posting count in %q", line)
 	}
-	fields = fields[1:]
 	ps := make([]posting, 0, k)
 	for j := 0; j < k; j++ {
 		if len(fields) < 2 {
@@ -170,7 +159,7 @@ func (ix *Index) decodeWordLine(line string) error {
 		}
 		docN, err1 := strconv.ParseUint(fields[0], 10, 64)
 		npos, err2 := strconv.Atoi(fields[1])
-		if err1 != nil || err2 != nil || npos < 0 || len(fields) < 2+npos {
+		if err1 != nil || err2 != nil || npos < 0 || npos > len(fields)-2 {
 			return fmt.Errorf("text: bad posting in %q", line)
 		}
 		positions := make([]int, npos)
@@ -185,17 +174,18 @@ func (ix *Index) decodeWordLine(line string) error {
 		if !ix.docs[doc] {
 			return fmt.Errorf("text: posting for undeclared doc %d", doc)
 		}
+		if j > 0 && doc <= ps[j-1].doc {
+			return fmt.Errorf("text: postings out of doc order in %q", line)
+		}
 		ps = append(ps, posting{doc: doc, positions: positions})
-		ix.docWords[doc] = append(ix.docWords[doc], word)
 	}
 	if len(fields) != 0 {
 		return fmt.Errorf("text: trailing data on word line %q", line)
 	}
-	s := ix.shardOf(word)
-	if _, dup := s.vocab[word]; dup {
+	if _, dup := ix.vocab[word]; dup {
 		return fmt.Errorf("text: duplicate word %q", word)
 	}
-	s.vocab[word] = ps
+	ix.vocab[word] = ps
 	return nil
 }
 

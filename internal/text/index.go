@@ -1,19 +1,19 @@
 package text
 
 import (
-	"hash/fnv"
+	"fmt"
 	"sort"
-	"sync"
+	"sync/atomic"
 
 	"sgmldb/internal/faultpoint"
 )
 
 // Fault-injection sites on the index-rebuild path the facade runs after
-// staging a load. Clone and Add return no error, so an injected failure
-// escalates to a panic — deliberately: these sites exist to prove that a
-// panic between "documents staged" and "snapshot published" is contained
-// at the facade boundary and rolled back, not that an error is politely
-// forwarded.
+// staging a load. Add returns an injected failure as its error. Clone
+// returns no error, so an injected failure there escalates to a panic —
+// deliberately: that site exists to prove that a panic between
+// "documents staged" and "snapshot published" is contained at the facade
+// boundary and rolled back, not that an error is politely forwarded.
 var (
 	fpClone = faultpoint.New("text/index-clone")
 	fpAdd   = faultpoint.New("text/index-add")
@@ -29,353 +29,154 @@ type posting struct {
 	positions []int // word positions, ascending
 }
 
-// indexShards is the number of vocabulary shards. Words hash to a shard,
-// so concurrent lookups of different words — and a replay-time re-index
-// running against lookups — contend only when they land on the same
-// shard, not on one index-wide mutex. 16 keeps the per-shard maps dense
-// while spreading lock traffic well past typical core counts.
-const indexShards = 16
-
-// shard holds the postings of the words hashing to it, under its own
-// lock. The copy-on-write bookkeeping (cow, owned) is per shard too:
-// Clone marks every shard shared, and each shard copies a word's posting
-// slice the first time it modifies it.
-type shard struct {
-	mu    sync.RWMutex
-	vocab map[string][]posting // word -> postings, one posting per doc
-	// cow marks a shard whose posting slices may be shared with a clone
-	// (set on both sides of Clone); owned tracks the words this shard has
-	// already copied.
-	cow   bool
-	owned map[string]bool
-	// sortMu guards the lazily built sortedWords cache, which readers
-	// (holding only mu.RLock) may need to build. Lock order: mu before
-	// sortMu.
-	sortMu sync.Mutex
-	// sortedWords caches the shard's vocabulary for pattern scans;
-	// invalidated by Add and retract.
-	sortedWords []string
-}
-
 // Index is a positional inverted index: the full-text indexing mechanism
 // whose integration Section 4.1 and Section 6 call for. It answers
 // contains expressions (boolean combinations of patterns) and near
 // predicates without scanning document text.
 //
-// An Index is safe for concurrent use, and its vocabulary is sharded by
-// word hash: Add write-locks only the shards its words hash to (plus the
-// document bookkeeping), and every reader (Lookup, Eval, Docs, …) locks
-// one shard at a time, so lookups of different words proceed with no
-// shared mutex between them. Each atom of an Eval observes its words
-// atomically; atomicity across a whole expression against a concurrent
-// Add is provided by the facade's copy-on-write discipline instead — a
-// published index is never Added to again. Clone supports exactly that
-// discipline: a writer clones the published index, Adds into the clone
-// (posting slices are copied lazily, per shard, the first time the clone
-// touches a word), and publishes the clone, so queries pinned to the old
-// index never observe a half-applied batch.
+// An Index follows the same discipline as a store instance: it is built
+// by one writer, then published and never written again. A published
+// index needs no locks — any number of goroutines may read it (Lookup,
+// Eval, Docs, Encode, …) and Clone it at once. A writer derives the next
+// version by cloning the published index, Adding the new documents to
+// the clone and publishing the clone, so queries pinned to the old index
+// never observe a half-applied batch. Add and Clone must not run
+// concurrently on the same index.
 type Index struct {
-	shards [indexShards]*shard
-
-	// docMu guards the document-level bookkeeping below. Lock order:
-	// docMu before any shard.mu.
-	docMu sync.RWMutex
+	vocab map[string][]posting // word -> postings, one per document, in insertion order
 	docs  map[DocID]bool
 	order []DocID // insertion order
-	// docWords records the distinct words of each indexed document so that
-	// re-Adding a document can first retract its old postings.
-	docWords map[DocID][]string
+	// sorted caches the vocabulary in order for pattern scans. Readers
+	// build it lazily (redundantly, if they race: each builds the same
+	// slice); Add resets it when a word enters the vocabulary.
+	sorted atomic.Pointer[[]string]
 }
 
 // NewIndex returns an empty index.
 func NewIndex() *Index {
-	ix := &Index{
-		docs:     make(map[DocID]bool),
-		docWords: make(map[DocID][]string),
+	return &Index{
+		vocab: make(map[string][]posting),
+		docs:  make(map[DocID]bool),
 	}
-	for i := range ix.shards {
-		ix.shards[i] = &shard{
-			vocab: make(map[string][]posting),
-		}
-	}
-	return ix
 }
 
-// shardOf hashes a word to its shard.
-func (ix *Index) shardOf(w string) *shard {
-	h := fnv.New32a()
-	h.Write([]byte(w))
-	return ix.shards[h.Sum32()%indexShards]
-}
-
-// shardIndexOf returns the shard number for a word (for per-shard
-// bucketing in Add and retract).
-func shardIndexOf(w string) int {
-	h := fnv.New32a()
-	h.Write([]byte(w))
-	return int(h.Sum32() % indexShards)
-}
-
-// Clone returns an independently mutable copy of the index. The copy is
-// cheap — posting slices are shared, shard by shard, until either side
-// modifies a word — which is what makes per-load index versions
-// affordable: the writer clones, Adds the new documents, and atomically
-// publishes the clone, while readers pinned to the original keep a
-// stable view.
+// Clone returns an independently mutable copy of the index, and only
+// reads its receiver, so a published index may be cloned by several
+// writers at once. The copy shares every posting slice with the
+// receiver, clipped to its length: the clone's first append to a word
+// reallocates, so neither side ever writes memory the other can read.
+// That is what makes per-load index versions affordable: the writer
+// clones, Adds the new documents, and publishes the clone, while readers
+// pinned to the original keep a stable view.
 func (ix *Index) Clone() *Index {
 	if err := fpClone.Hit(); err != nil {
 		//lint:allow panic injected faults escalate to panics here (no error return); contained at the facade boundary
 		panic(err)
 	}
-	ix.docMu.Lock()
-	defer ix.docMu.Unlock()
 	c := &Index{
-		docs:     make(map[DocID]bool, len(ix.docs)),
-		order:    append([]DocID(nil), ix.order...),
-		docWords: make(map[DocID][]string, len(ix.docWords)),
+		vocab: make(map[string][]posting, len(ix.vocab)),
+		docs:  make(map[DocID]bool, len(ix.docs)),
+		order: ix.order[:len(ix.order):len(ix.order)],
+	}
+	for w, ps := range ix.vocab {
+		c.vocab[w] = ps[:len(ps):len(ps)]
 	}
 	for d := range ix.docs {
 		c.docs[d] = true
 	}
-	for d, ws := range ix.docWords {
-		c.docWords[d] = ws
-	}
-	for i, s := range ix.shards {
-		s.mu.Lock()
-		cs := &shard{
-			vocab: make(map[string][]posting, len(s.vocab)),
-			cow:   true,
-			owned: make(map[string]bool),
-		}
-		for w, ps := range s.vocab {
-			cs.vocab[w] = ps
-		}
-		// The source shard's slices are now shared too: everything it
-		// owned it no longer owns exclusively, and future Adds must copy
-		// before writing.
-		s.cow = true
-		s.owned = make(map[string]bool)
-		s.mu.Unlock()
-		c.shards[i] = cs
-	}
 	return c
 }
 
-// Add indexes the text of one document. Re-Adding a document replaces its
-// postings wholesale: the old positions are retracted first, so positions
-// stay ascending and phrase/near evaluation (which binary-searches
-// position lists) stays correct across re-indexing. Concurrent Adds of
-// distinct documents are safe; re-Adding the same document from two
-// goroutines at once is not (the facade's single-writer discipline never
-// does).
-func (ix *Index) Add(doc DocID, text string) {
+// Add indexes the text of one document. A document is indexed once: Add
+// of a DocID the index already holds returns an error and leaves the
+// index unchanged.
+func (ix *Index) Add(doc DocID, text string) error {
 	if err := fpAdd.Hit(); err != nil {
-		//lint:allow panic injected faults escalate to panics here (no error return); contained at the facade boundary
-		panic(err)
+		return err
 	}
-	toks := Tokenize(text)
-	// Bucket the tokens by shard; within a bucket, tokens keep document
-	// order, so each word's position list is appended ascending.
-	var buckets [indexShards][]Token
-	for _, t := range toks {
-		si := shardIndexOf(t.Word)
-		buckets[si] = append(buckets[si], t)
-	}
-	ix.docMu.Lock()
-	defer ix.docMu.Unlock()
 	if ix.docs[doc] {
-		ix.retract(doc)
-	} else {
-		ix.docs[doc] = true
-		ix.order = append(ix.order, doc)
+		return fmt.Errorf("text: document %d is already indexed", doc)
 	}
-	var words []string
-	for si, bucket := range buckets {
-		if len(bucket) == 0 {
-			continue
+	ix.docs[doc] = true
+	ix.order = append(ix.order, doc)
+	for _, t := range Tokenize(text) {
+		ps, seen := ix.vocab[t.Word]
+		if !seen {
+			ix.sorted.Store(nil)
 		}
-		s := ix.shards[si]
-		s.mu.Lock()
-		s.invalidateSorted()
-		for _, t := range bucket {
-			ps := s.ownPostings(t.Word)
-			if n := len(ps); n > 0 && ps[n-1].doc == doc {
-				ps[n-1].positions = append(ps[n-1].positions, t.Pos)
-			} else {
-				words = append(words, t.Word)
-				ps = append(ps, posting{doc: doc, positions: []int{t.Pos}})
-			}
-			s.vocab[t.Word] = ps
+		// Tokens arrive in document order, so a word's positions are
+		// appended ascending. The document is new, so a posting for it
+		// can only have been appended by this call, into memory no other
+		// version reads.
+		if n := len(ps); n > 0 && ps[n-1].doc == doc {
+			ps[n-1].positions = append(ps[n-1].positions, t.Pos)
+		} else {
+			ix.vocab[t.Word] = append(ps, posting{doc: doc, positions: []int{t.Pos}})
 		}
-		s.mu.Unlock()
 	}
-	ix.docWords[doc] = words
+	return nil
 }
 
-// retract removes a document's postings ahead of re-indexing. The caller
-// holds ix.docMu and re-Adds the document immediately, so docs and order
-// are left alone.
-func (ix *Index) retract(doc DocID) {
-	var buckets [indexShards][]string
-	for _, w := range ix.docWords[doc] {
-		si := shardIndexOf(w)
-		buckets[si] = append(buckets[si], w)
-	}
-	for si, ws := range buckets {
-		if len(ws) == 0 {
-			continue
-		}
-		s := ix.shards[si]
-		s.mu.Lock()
-		s.invalidateSorted()
-		for _, w := range ws {
-			s.retractWord(w, doc)
-		}
-		s.mu.Unlock()
-	}
-	delete(ix.docWords, doc)
-}
-
-// retractWord removes doc's posting for one word. The caller holds the
-// shard's write lock.
-func (s *shard) retractWord(w string, doc DocID) {
-	ps := s.vocab[w]
-	at := -1
-	for i, p := range ps {
-		if p.doc == doc {
-			at = i
-			break
-		}
-	}
-	if at < 0 {
-		return
-	}
-	if s.cow && !s.owned[w] {
-		cp := make([]posting, 0, len(ps)-1)
-		cp = append(cp, ps[:at]...)
-		cp = append(cp, ps[at+1:]...)
-		ps = cp
-		s.owned[w] = true
-	} else {
-		ps = append(ps[:at], ps[at+1:]...)
-	}
-	if len(ps) == 0 {
-		delete(s.vocab, w)
-	} else {
-		s.vocab[w] = ps
-	}
-}
-
-// ownPostings returns the word's posting slice, first copying it if it
-// may be shared with a clone. Every posting this Add call appends is
-// fresh (retract removed the document's old entry), so owning the slice
-// itself is enough — older postings' position lists are never written.
-// The caller holds the shard's write lock.
-func (s *shard) ownPostings(w string) []posting {
-	ps := s.vocab[w]
-	if s.cow && !s.owned[w] {
-		cp := make([]posting, len(ps))
-		copy(cp, ps)
-		ps = cp
-		s.owned[w] = true
-	}
-	return ps
-}
-
-// invalidateSorted drops the shard's sorted-vocabulary cache. The caller
-// holds the shard's write lock.
-func (s *shard) invalidateSorted() {
-	s.sortMu.Lock()
-	s.sortedWords = nil
-	s.sortMu.Unlock()
-}
+// Has reports whether the document is indexed.
+func (ix *Index) Has(doc DocID) bool { return ix.docs[doc] }
 
 // Size reports the number of indexed documents.
-func (ix *Index) Size() int {
-	ix.docMu.RLock()
-	defer ix.docMu.RUnlock()
-	return len(ix.docs)
-}
+func (ix *Index) Size() int { return len(ix.docs) }
 
 // VocabularySize reports the number of distinct words.
-func (ix *Index) VocabularySize() int {
-	n := 0
-	for _, s := range ix.shards {
-		s.mu.RLock()
-		n += len(s.vocab)
-		s.mu.RUnlock()
-	}
-	return n
-}
+func (ix *Index) VocabularySize() int { return len(ix.vocab) }
 
 // Docs returns all indexed documents in insertion order.
-func (ix *Index) Docs() []DocID {
-	ix.docMu.RLock()
-	defer ix.docMu.RUnlock()
-	out := make([]DocID, len(ix.order))
-	copy(out, ix.order)
-	return out
-}
+func (ix *Index) Docs() []DocID { return append([]DocID(nil), ix.order...) }
 
-// Lookup returns the documents containing the word, ascending. It locks
-// only the word's shard, so lookups of different words never contend.
+// Lookup returns the documents containing the word, ascending.
 func (ix *Index) Lookup(word string) []DocID {
-	s := ix.shardOf(word)
-	s.mu.RLock()
-	ps := s.vocab[word]
+	ps := ix.vocab[word]
 	out := make([]DocID, len(ps))
 	for i, p := range ps {
 		out[i] = p.doc
 	}
-	s.mu.RUnlock()
 	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
 	return out
 }
 
-// matchingWords scans the vocabulary with a pattern. Bare literals hash
-// straight to one shard and skip the scan; genuine patterns scan every
-// shard's sorted cache, one shard lock at a time.
+// matchingWords scans the vocabulary with a pattern, in word order. Bare
+// literals are looked up directly and skip the scan.
 func (ix *Index) matchingWords(p *Pattern) []string {
 	if lit, ok := p.Literal(); ok {
-		s := ix.shardOf(lit)
-		s.mu.RLock()
-		_, present := s.vocab[lit]
-		s.mu.RUnlock()
-		if present {
+		if _, present := ix.vocab[lit]; present {
 			return []string{lit}
 		}
 		return nil
 	}
 	var out []string
-	for _, s := range ix.shards {
-		s.mu.RLock()
-		for _, w := range s.sorted() {
-			if p.Match(w) {
-				out = append(out, w)
-			}
+	for _, w := range ix.sortedWords() {
+		if p.Match(w) {
+			out = append(out, w)
 		}
-		s.mu.RUnlock()
 	}
-	sort.Strings(out)
 	return out
 }
 
-// sorted returns the shard's sorted vocabulary, (re)building the cache
-// under its own mutex so that concurrent readers — who hold only
-// mu.RLock — do not race on the cache. Mutators invalidate it under
-// mu.Lock, which excludes all readers, so the cache a reader builds here
-// is consistent with the vocabulary it scans.
-func (s *shard) sorted() []string {
-	s.sortMu.Lock()
-	defer s.sortMu.Unlock()
-	if s.sortedWords == nil {
-		s.sortedWords = make([]string, 0, len(s.vocab))
-		for w := range s.vocab {
-			s.sortedWords = append(s.sortedWords, w)
-		}
-		sort.Strings(s.sortedWords)
+// sortedWords returns the sorted vocabulary, building and caching it on
+// first use after a change.
+func (ix *Index) sortedWords() []string {
+	if ws := ix.sorted.Load(); ws != nil {
+		return *ws
 	}
-	return s.sortedWords
+	ws := ix.vocabulary()
+	ix.sorted.Store(&ws)
+	return ws
+}
+
+// vocabulary returns the index's words in order, uncached.
+func (ix *Index) vocabulary() []string {
+	ws := make([]string, 0, len(ix.vocab))
+	for w := range ix.vocab {
+		ws = append(ws, w)
+	}
+	sort.Strings(ws)
+	return ws
 }
 
 // Eval answers a contains expression from the index: the set of documents
@@ -385,8 +186,7 @@ func (s *shard) sorted() []string {
 // document if it matches one of the document's words), which is the IRS
 // convention the index supports; multi-word literal atoms are evaluated as
 // a phrase using positions. Negation complements against the set of all
-// indexed documents. Each atom locks only the shards of its own words, so
-// concurrent Evals share no index-wide mutex.
+// indexed documents.
 func (ix *Index) Eval(expr Expr) []DocID {
 	set := ix.eval(expr)
 	out := make([]DocID, 0, len(set))
@@ -436,13 +236,11 @@ func (ix *Index) eval(expr Expr) map[DocID]bool {
 	case NotExpr:
 		inner := ix.eval(e.E)
 		out := map[DocID]bool{}
-		ix.docMu.RLock()
 		for d := range ix.docs {
 			if !inner[d] {
 				out[d] = true
 			}
 		}
-		ix.docMu.RUnlock()
 		return out
 	case NearExpr:
 		return ix.near(e)
@@ -451,31 +249,23 @@ func (ix *Index) eval(expr Expr) map[DocID]bool {
 	}
 }
 
-// docsWith returns the set of documents containing the word, under the
-// word's shard read lock.
+// docsWith returns the set of documents containing the word.
 func (ix *Index) docsWith(word string) map[DocID]bool {
-	s := ix.shardOf(word)
-	s.mu.RLock()
-	defer s.mu.RUnlock()
 	out := map[DocID]bool{}
-	for _, p := range s.vocab[word] {
+	for _, p := range ix.vocab[word] {
 		out[p.doc] = true
 	}
 	return out
 }
 
-// fetchOcc copies one word's occurrences out of its shard: doc ->
-// ascending positions. Copying under the read lock gives each atom a
-// consistent per-word snapshot without nesting shard locks (nested read
-// locks across shards could deadlock against pending writers).
-func (ix *Index) fetchOcc(word string) map[DocID][]int {
-	s := ix.shardOf(word)
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	ps := s.vocab[word]
+// occurrences maps each document containing the word to its ascending
+// positions. The position lists are the index's own: callers only read
+// them.
+func (ix *Index) occurrences(word string) map[DocID][]int {
+	ps := ix.vocab[word]
 	out := make(map[DocID][]int, len(ps))
 	for _, p := range ps {
-		out[p.doc] = append([]int(nil), p.positions...)
+		out[p.doc] = p.positions
 	}
 	return out
 }
@@ -516,15 +306,15 @@ func (ix *Index) near(e NearExpr) map[DocID]bool {
 
 // occurrencesOf maps each document to the ascending start positions at
 // which the words occur consecutively. A single word reduces to its
-// position list; a phrase intersects word k's positions shifted by k,
-// one shard lock at a time.
+// position list; a phrase intersects word k's positions shifted by k
+// into fresh lists.
 func (ix *Index) occurrencesOf(words []string) map[DocID][]int {
-	base := ix.fetchOcc(words[0])
+	base := ix.occurrences(words[0])
 	for k := 1; k < len(words); k++ {
-		next := ix.fetchOcc(words[k])
+		next := ix.occurrences(words[k])
 		for doc, starts := range base {
 			np := next[doc]
-			keep := starts[:0]
+			var keep []int
 			for _, p := range starts {
 				i := sort.SearchInts(np, p+k)
 				if i < len(np) && np[i] == p+k {

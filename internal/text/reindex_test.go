@@ -5,41 +5,40 @@ import (
 	"testing"
 )
 
-// TestAddReplacesPostings is the re-index regression test: Adding the
-// same DocID twice must replace the document's postings, not accumulate
-// out-of-order positions that break the binary search in hasAt.
-func TestAddReplacesPostings(t *testing.T) {
+// TestReAddRejected: Adding a DocID the index already holds fails and
+// leaves the index unchanged — postings, phrases, near and document
+// order all still answer from the first text.
+func TestReAddRejected(t *testing.T) {
 	ix := NewIndex()
 	ix.Add(1, "structured documents need query facilities")
 	ix.Add(2, "documents")
-	// Re-index doc 1 with different text: the old postings must go.
-	ix.Add(1, "novel query facilities for structured documents")
+	if err := ix.Add(1, "novel query facilities for structured documents"); err == nil {
+		t.Fatal("re-Add of doc 1 succeeded, want error")
+	}
 
 	if got := ix.Size(); got != 2 {
 		t.Errorf("Size = %d, want 2", got)
 	}
 	if got := ix.Docs(); !reflect.DeepEqual(got, []DocID{1, 2}) {
-		t.Errorf("Docs = %v (insertion order must be stable across re-Add)", got)
+		t.Errorf("Docs = %v, want [1 2]", got)
 	}
-	// "need" only occurred in the old text of doc 1.
-	if got := ix.Lookup("need"); len(got) != 0 {
-		t.Errorf(`Lookup("need") = %v, want none after re-index`, got)
+	if got := ix.Lookup("need"); !reflect.DeepEqual(got, []DocID{1}) {
+		t.Errorf(`Lookup("need") = %v, want [1]`, got)
 	}
-	// The old phrase is gone, the new phrase matches.
-	if got := ix.Eval(MatchExpr{Pattern: MustCompileLiteral(t, "documents need")}); len(got) != 0 {
-		t.Errorf("stale phrase still matches: %v", got)
+	if got := ix.Lookup("novel"); len(got) != 0 {
+		t.Errorf(`Lookup("novel") = %v, want none: the rejected text is not indexed`, got)
 	}
-	if got := ix.Eval(MatchExpr{Pattern: MustCompileLiteral(t, "novel query facilities")}); !reflect.DeepEqual(got, []DocID{1}) {
-		t.Errorf("new phrase = %v, want [1]", got)
+	if got := ix.Eval(MatchExpr{Pattern: MustCompileLiteral(t, "documents need")}); !reflect.DeepEqual(got, []DocID{1}) {
+		t.Errorf("original phrase = %v, want [1]", got)
 	}
-	// Positions must be ascending again: "structured documents" is a
-	// phrase only in the new text (positions 4,5), and with accumulated
-	// postings the search in hasAt would misfire.
+	if got := ix.Eval(MatchExpr{Pattern: MustCompileLiteral(t, "novel query facilities")}); len(got) != 0 {
+		t.Errorf("rejected phrase matches: %v", got)
+	}
 	if got := ix.Eval(MatchExpr{Pattern: MustCompileLiteral(t, "structured documents")}); !reflect.DeepEqual(got, []DocID{1}) {
 		t.Errorf(`phrase "structured documents" = %v, want [1]`, got)
 	}
-	if got := ix.Eval(NearExpr{A: "novel", B: "facilities", Dist: 1}); !reflect.DeepEqual(got, []DocID{1}) {
-		t.Errorf("near after re-index = %v, want [1]", got)
+	if got := ix.Eval(NearExpr{A: "structured", B: "query", Dist: 2}); !reflect.DeepEqual(got, []DocID{1}) {
+		t.Errorf("near = %v, want [1]", got)
 	}
 }
 
@@ -108,7 +107,9 @@ func TestIndexCloneIsolation(t *testing.T) {
 
 	c := base.Clone()
 	c.Add(3, "beta epsilon")
-	c.Add(1, "alpha rewritten") // re-Add through the COW path
+	if err := c.Add(1, "alpha rewritten"); err == nil {
+		t.Error("re-Add into the clone succeeded, want error")
+	}
 
 	// Base is untouched.
 	if got := base.Size(); got != 2 {
@@ -128,14 +129,14 @@ func TestIndexCloneIsolation(t *testing.T) {
 	if got := c.Size(); got != 3 {
 		t.Errorf("clone Size = %d, want 3", got)
 	}
-	if got := c.Lookup("beta"); !reflect.DeepEqual(got, []DocID{2, 3}) {
-		t.Errorf("clone beta docs = %v, want [2 3]", got)
+	if got := c.Lookup("beta"); !reflect.DeepEqual(got, []DocID{1, 2, 3}) {
+		t.Errorf("clone beta docs = %v, want [1 2 3]", got)
 	}
-	if got := c.Lookup("gamma"); len(got) != 0 {
-		t.Errorf("clone kept doc 1's retracted word: %v", got)
+	if got := c.Lookup("gamma"); !reflect.DeepEqual(got, []DocID{1}) {
+		t.Errorf("clone gamma docs = %v, want [1]", got)
 	}
-	if got := c.Lookup("rewritten"); !reflect.DeepEqual(got, []DocID{1}) {
-		t.Errorf("clone rewritten docs = %v, want [1]", got)
+	if got := c.Lookup("rewritten"); len(got) != 0 {
+		t.Errorf("rejected re-Add indexed words: %v", got)
 	}
 
 	// Mutating the base after the clone (the facade never does, but the

@@ -2,6 +2,7 @@ package text
 
 import (
 	"math/rand"
+	"reflect"
 	"strings"
 	"testing"
 )
@@ -310,15 +311,25 @@ func TestIndexAgreesWithScan(t *testing.T) {
 	}
 }
 
-func TestIndexPositionsAccumulate(t *testing.T) {
+// TestReAddKeepsPositions: indexing a document a second time is refused,
+// so its positions never accumulate out of order.
+func TestReAddKeepsPositions(t *testing.T) {
 	ix := NewIndex()
 	ix.Add(7, "alpha beta")
-	ix.Add(7, "beta gamma") // same doc indexed again: positions accumulate
+	if err := ix.Add(7, "beta gamma"); err == nil {
+		t.Error("re-Add of doc 7 succeeded, want error")
+	}
 	if ix.Size() != 1 {
 		t.Errorf("Size = %d", ix.Size())
 	}
 	if got := ix.Lookup("beta"); len(got) != 1 {
 		t.Errorf("beta = %v", got)
+	}
+	if got := ix.Lookup("gamma"); len(got) != 0 {
+		t.Errorf("gamma = %v, want none", got)
+	}
+	if got := ix.vocab["beta"][0].positions; !reflect.DeepEqual(got, []int{1}) {
+		t.Errorf("beta positions = %v, want [1]", got)
 	}
 }
 

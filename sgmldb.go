@@ -25,11 +25,11 @@
 // copy-on-write snapshots. Writers (LoadDocument, LoadDocuments, Name)
 // serialise among themselves on an internal mutex and build each change
 // into a private copy-on-write layer over the published instance — plus a
-// lazily-copied clone of the full-text index — publishing the new
-// (instance, index) pair with one atomic pointer swap only when the whole
-// change succeeded. A failed load is discarded wholesale: the published
-// instance is never touched, so no orphan objects can appear (load
-// atomicity by construction).
+// clone of the full-text index that shares its postings — publishing the
+// new (instance, index) pair with one atomic pointer swap only when the
+// whole change succeeded. A failed load is discarded wholesale: the
+// published instance is never touched, so no orphan objects can appear
+// (load atomicity by construction).
 //
 // Readers (Query, QueryContext, prepared Run, Text, Check, Stats, Export)
 // pin the snapshot current at their start and never block on writers — a
@@ -199,16 +199,14 @@ func open(dtdSource string, follower bool, opts []Option) (*Database, error) {
 		if err := db.openDurable(); err != nil {
 			return nil, err
 		}
-		return db, nil
 	}
-	db.Engine.Publish(oql.State{Snap: db.Loader.Instance.Snapshot(), Index: db.Engine.Index})
 	return db, nil
 }
 
 // newDatabase compiles and maps the DTD, builds the engine over the
-// loader's empty instance and applies the open options. Nothing is
-// published yet: the caller publishes the empty instance, recovers a
-// data directory, or adopts an image.
+// loader's empty instance, publishes that instance with an empty text
+// index and applies the open options. The caller may then recover a data
+// directory or adopt an image over it.
 func newDatabase(dtdSource string, opts []Option) (*Database, error) {
 	dtd, err := sgml.ParseDTD(dtdSource)
 	if err != nil {
@@ -223,7 +221,7 @@ func newDatabase(dtdSource string, opts []Option) (*Database, error) {
 	env := calculus.NewEnv(loader.Instance)
 	env.TextOf = dtdmap.TextOf
 	db.Engine = oql.New(env)
-	db.Engine.Index = text.NewIndex()
+	db.Engine.Publish(oql.State{Snap: loader.Instance.Snapshot(), Index: text.NewIndex()})
 	for _, opt := range opts {
 		opt(db)
 	}
@@ -356,7 +354,9 @@ func (db *Database) commitLoad(docs []*sgml.Document, srcs []string, logIt bool,
 	staged := db.Loader.Instance
 	ix := db.state().Index.Clone()
 	for _, oid := range oids {
-		ix.Add(text.DocID(oid), dtdmap.TextOf(staged, oid))
+		if err = ix.Add(text.DocID(oid), dtdmap.TextOf(staged, oid)); err != nil {
+			return nil, err
+		}
 	}
 	if logIt && db.walLog != nil {
 		if err = db.walLog.Append(wal.Record{Kind: wal.KindLoad, Docs: srcs, Term: recTerm}); err != nil {
