@@ -1,10 +1,11 @@
 # Development targets. `make ci` is the extended verify recorded in
 # ROADMAP.md: vet + sgmldbvet + build + the full test suite under the
 # race detector + the chaos (fault-injection) suite + the crash-recovery
-# suite + a fuzz smoke of the SGML parsers, the WAL record decoder and
-# the text-index checkpoint decoder + the network-service smoke (real
-# sgmldbd process, load-generator burst, clean drain) + a smoke run of
-# every benchmark + a build and test of the perfbench module.
+# suite + a fuzz smoke of the SGML parsers, the WAL record decoder, the
+# text-index checkpoint decoder and the follower's record apply path +
+# the network-service smoke (real sgmldbd process, load-generator burst,
+# clean drain) + a smoke run of every benchmark + a build and test of
+# the perfbench module.
 
 GO ?= go
 
@@ -40,14 +41,16 @@ race:
 bench:
 	$(GO) test -run='^$$' -bench=. -benchtime=1x .
 
-# A few seconds per fuzz target: catches parser panics on mutated input
-# without an open-ended run. Minimization is capped by executions — the
+# A few seconds per fuzz target: catches parser panics on mutated input,
+# and shipped records a follower applies into a broken state, without an
+# open-ended run. Minimization is capped by executions — the
 # default 60s-per-interesting-input budget stalls a smoke run.
 fuzz:
 	$(GO) test ./internal/sgml/ -run='^$$' -fuzz=FuzzParseDTD -fuzztime=5s -fuzzminimizetime=10x
 	$(GO) test ./internal/sgml/ -run='^$$' -fuzz=FuzzParseDocument -fuzztime=5s -fuzzminimizetime=10x
 	$(GO) test ./internal/wal/ -run='^$$' -fuzz=FuzzWALRecord -fuzztime=5s -fuzzminimizetime=10x
 	$(GO) test ./internal/text/ -run='^$$' -fuzz=FuzzDecodeIndex -fuzztime=5s -fuzzminimizetime=10x
+	$(GO) test . -run='^$$' -fuzz=FuzzApplyRecord -fuzztime=5s -fuzzminimizetime=10x
 
 # The fault-injection suite under the race detector, alone and
 # repeated: injected failures mid-load, evaluator panics, budget trips

@@ -171,7 +171,7 @@ func BenchmarkRecovery(b *testing.B) {
 				if err != nil {
 					b.Fatal(err)
 				}
-				if got := len(db.Loader.Documents()); got != batches {
+				if got := len(loadedDocs(db)); got != batches {
 					b.Fatalf("recovered %d documents, want %d", got, batches)
 				}
 				b.StopTimer()

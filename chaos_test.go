@@ -56,6 +56,11 @@ func articleSrc(t *testing.T) string {
 	return string(src)
 }
 
+// loadedDocs lists the loaded document objects: the plural root's list.
+func loadedDocs(db *Database) []object.OID {
+	return rootDocs(db.Instance(), db.Mapping.RootName)
+}
+
 const chaosQuery = `select t from my_article PATH_p.title(t)`
 
 // mustQuery runs a query that must succeed and return a non-empty set.
@@ -131,7 +136,7 @@ func TestChaosFailedLoadPublishesNothing(t *testing.T) {
 			src := articleSrc(t)
 			epoch0 := db.Epoch()
 			index0 := db.state().Index
-			docs0 := len(db.Loader.Documents())
+			docs0 := len(loadedDocs(db))
 			titles0 := mustQuery(t, db, chaosQuery).Len()
 
 			inject := faultpoint.Error(errBoom)
@@ -160,8 +165,8 @@ func TestChaosFailedLoadPublishesNothing(t *testing.T) {
 			if got := db.state().Index; got != index0 {
 				t.Errorf("index version changed by a failed load")
 			}
-			if got := len(db.Loader.Documents()); got != docs0 {
-				t.Errorf("loader documents after failed load = %d, want %d (rollback)", got, docs0)
+			if got := len(loadedDocs(db)); got != docs0 {
+				t.Errorf("root documents after failed load = %d, want %d (rollback)", got, docs0)
 			}
 			if got := mustQuery(t, db, chaosQuery).Len(); got != titles0 {
 				t.Errorf("titles after failed load = %d, want %d", got, titles0)
@@ -176,8 +181,8 @@ func TestChaosFailedLoadPublishesNothing(t *testing.T) {
 			if len(oids) != 2 {
 				t.Fatalf("oids = %v, want 2", oids)
 			}
-			if got := len(db.Loader.Documents()); got != docs0+2 {
-				t.Errorf("loader documents after recovery load = %d, want %d", got, docs0+2)
+			if got := len(loadedDocs(db)); got != docs0+2 {
+				t.Errorf("root documents after recovery load = %d, want %d", got, docs0+2)
 			}
 			if got := db.Epoch(); got != epoch0+1 {
 				t.Errorf("epoch after recovery load = %d, want %d", got, epoch0+1)

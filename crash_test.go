@@ -155,7 +155,7 @@ func TestCrashCommitSeams(t *testing.T) {
 			if wantPost {
 				wantDocs = 2
 			}
-			if got := len(rdb.Loader.Documents()); got != wantDocs {
+			if got := len(loadedDocs(rdb)); got != wantDocs {
 				t.Errorf("recovered documents = %d, want %d", got, wantDocs)
 			}
 			if got := articleCount(t, rdb); got != countPre*wantDocs {
@@ -357,22 +357,22 @@ func TestCrashReadersServeDuringWedgedDurableLoad(t *testing.T) {
 
 // TestCrashFailedLoadsDontGrowLayerDepth is the regression test for the
 // eager-discard fix: repeated failed loads must not grow the published
-// instance's copy-on-write depth, and the loader must sit on the
+// instance's copy-on-write depth, and the database must stay on the
 // published layer (not an abandoned staged one) after every failure.
 func TestCrashFailedLoadsDontGrowLayerDepth(t *testing.T) {
 	db := openChaosDB(t)
 	src := articleSrc(t)
-	published := db.Loader.Instance
+	published := db.Instance()
 	depth0 := published.Depth()
 	defer faultpoint.Arm("dtdmap/set-root", faultpoint.Error(errBoom))()
 	for i := 0; i < 20; i++ {
 		if _, err := db.LoadDocuments([]string{src}); !errors.Is(err, errBoom) {
 			t.Fatalf("load %d: err = %v, want errBoom", i, err)
 		}
-		if db.Loader.Instance != published {
-			t.Fatalf("load %d: loader left on an abandoned staged layer", i)
+		if db.Instance() != published {
+			t.Fatalf("load %d: database left on an abandoned staged layer", i)
 		}
-		if got := db.Loader.Instance.Depth(); got != depth0 {
+		if got := db.Instance().Depth(); got != depth0 {
 			t.Fatalf("load %d: depth = %d, want %d (no growth across failed loads)", i, got, depth0)
 		}
 	}

@@ -3,8 +3,6 @@ package sgmldb
 import (
 	"fmt"
 
-	"sgmldb/internal/object"
-	"sgmldb/internal/sgml"
 	"sgmldb/internal/store"
 	"sgmldb/internal/text"
 	"sgmldb/internal/wal"
@@ -29,7 +27,6 @@ const defaultCheckpointEvery = 8
 // the log to the database. Called from OpenDTD before the database is
 // returned, so no queries or loads race it.
 func (db *Database) openDurable() error {
-	dtdSource := db.dtdSource
 	l, ck, tail, err := wal.Open(db.dataDir)
 	if err != nil {
 		return err
@@ -37,51 +34,30 @@ func (db *Database) openDurable() error {
 	db.walLog = l
 	if ck != nil {
 		db.ckptSeq.Store(ck.Seq)
-		if ck.DTD != dtdSource {
+		if err := db.adopt(ck, false); err != nil {
 			l.Close()
-			return fmt.Errorf("sgmldb: data directory %s holds a database for a different DTD", db.dataDir)
+			return fmt.Errorf("sgmldb: data directory %s: %w", db.dataDir, err)
 		}
-		db.adopt(ck)
 	}
-	// Replay the records the checkpoint does not cover, through the same
-	// commit path as live writes minus the append: loading is
-	// deterministic, so replay reproduces the pre-crash oids and epochs.
+	// Replay the records the checkpoint does not cover, through the commit
+	// path live writes take, minus the append: loading is deterministic, so
+	// replay reproduces the pre-crash oids and epochs. (A replayed term
+	// record stages nothing: the log scan already tracked the term.)
 	for _, rec := range tail {
-		switch rec.Kind {
-		case wal.KindSchema:
-			if rec.Schema != dtdSource {
-				l.Close()
-				return fmt.Errorf("sgmldb: data directory %s holds a database for a different DTD", db.dataDir)
-			}
-		case wal.KindLoad:
-			docs := make([]*sgml.Document, len(rec.Docs))
-			for i, src := range rec.Docs {
-				d, err := sgml.ParseDocument(db.Mapping.DTD, src)
-				if err != nil {
-					l.Close()
-					return fmt.Errorf("sgmldb: replay record %d: %w", rec.Seq, err)
-				}
-				docs[i] = d
-			}
-			if _, err := db.commitLoad(docs, rec.Docs, false, 0); err != nil {
-				l.Close()
-				return fmt.Errorf("sgmldb: replay record %d: %w", rec.Seq, err)
-			}
-		case wal.KindName:
-			if err := db.commitName(rec.Name, object.OID(rec.OID), false, 0); err != nil {
-				l.Close()
-				return fmt.Errorf("sgmldb: replay record %d: %w", rec.Seq, err)
-			}
-		case wal.KindTerm:
-			// a replayed promotion only moves the term, which the log scan
-			// already tracked; nothing to apply
+		docs, err := db.parseDocs(rec.Docs)
+		if err == nil {
+			_, err = db.commit(rec, docs, false)
+		}
+		if err != nil {
+			l.Close()
+			return fmt.Errorf("sgmldb: data directory %s: replay record %d: %w", db.dataDir, rec.Seq, err)
 		}
 	}
 	if l.Seq() == 0 && !db.follower.Load() {
 		// Fresh directory: pin the DTD as the first record so a reopen can
 		// verify it is given the same schema. A fresh *follower* directory
 		// stays empty — its record 1 is the primary's shipped schema record.
-		if err := l.Append(wal.Record{Kind: wal.KindSchema, Schema: dtdSource}); err != nil {
+		if _, err := db.commit(wal.Record{Kind: wal.KindSchema, Schema: db.dtdSource}, nil, true); err != nil {
 			l.Close()
 			return err
 		}
@@ -110,9 +86,9 @@ func (db *Database) openDurable() error {
 // and thus immutable, so the checkpointer can serialize them outside the
 // lock. Without a log, seq and term are 0.
 func (db *Database) captureCheckpoint(inst *store.Instance, ix *text.Index) *wal.Checkpoint {
-	loaderDocs := db.Loader.Documents()
-	docs := make([]uint64, len(loaderDocs))
-	for i, o := range loaderDocs {
+	rootOIDs := rootDocs(inst, db.Mapping.RootName)
+	docs := make([]uint64, len(rootOIDs))
+	for i, o := range rootOIDs {
 		docs[i] = uint64(o)
 	}
 	ck := &wal.Checkpoint{

@@ -26,7 +26,7 @@ func TestDurableRecoveryRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	epoch := db.Epoch()
-	docs := len(db.Loader.Documents())
+	docs := len(loadedDocs(db))
 	count := articleCount(t, db)
 	titles := mustQuery(t, db, chaosQuery).Len()
 	db.Close()
@@ -35,7 +35,7 @@ func TestDurableRecoveryRoundTrip(t *testing.T) {
 	if got := rdb.Epoch(); got != epoch {
 		t.Errorf("recovered epoch = %d, want %d", got, epoch)
 	}
-	if got := len(rdb.Loader.Documents()); got != docs {
+	if got := len(loadedDocs(rdb)); got != docs {
 		t.Errorf("recovered documents = %d, want %d", got, docs)
 	}
 	if got := articleCount(t, rdb); got != count {
@@ -55,7 +55,7 @@ func TestDurableRecoveryRoundTrip(t *testing.T) {
 	if got := rdb2.Epoch(); got != epoch2 {
 		t.Errorf("second recovery epoch = %d, want %d", got, epoch2)
 	}
-	if got := len(rdb2.Loader.Documents()); got != docs+1 {
+	if got := len(loadedDocs(rdb2)); got != docs+1 {
 		t.Errorf("second recovery documents = %d, want %d", got, docs+1)
 	}
 }
@@ -98,7 +98,7 @@ func TestDurableCheckpointTruncatesLog(t *testing.T) {
 		t.Errorf("checkpoint files = %d, want 1", ckpts)
 	}
 	epoch := db.Epoch()
-	docs := len(db.Loader.Documents())
+	docs := len(loadedDocs(db))
 	count := articleCount(t, db)
 	db.Close()
 
@@ -106,7 +106,7 @@ func TestDurableCheckpointTruncatesLog(t *testing.T) {
 	if got := rdb.Epoch(); got != epoch {
 		t.Errorf("recovered epoch = %d, want %d", got, epoch)
 	}
-	if got := len(rdb.Loader.Documents()); got != docs {
+	if got := len(loadedDocs(rdb)); got != docs {
 		t.Errorf("recovered documents = %d, want %d", got, docs)
 	}
 	if got := articleCount(t, rdb); got != count {
@@ -124,7 +124,7 @@ func TestDurableCheckpointTruncatesLog(t *testing.T) {
 	if got := rdb2.Epoch(); got != epoch2 {
 		t.Errorf("post-checkpoint recovery epoch = %d, want %d", got, epoch2)
 	}
-	if got := len(rdb2.Loader.Documents()); got != docs+1 {
+	if got := len(loadedDocs(rdb2)); got != docs+1 {
 		t.Errorf("post-checkpoint recovery documents = %d, want %d", got, docs+1)
 	}
 }
@@ -149,7 +149,7 @@ func TestDurableAutoCheckpoint(t *testing.T) {
 		}
 	}
 	epoch := db.Epoch()
-	docs := len(db.Loader.Documents())
+	docs := len(loadedDocs(db))
 	db.Close() // waits for the checkpointer to drain
 
 	entries, err := os.ReadDir(dir)
@@ -169,7 +169,7 @@ func TestDurableAutoCheckpoint(t *testing.T) {
 	if got := rdb.Epoch(); got != epoch {
 		t.Errorf("recovered epoch = %d, want %d", got, epoch)
 	}
-	if got := len(rdb.Loader.Documents()); got != docs {
+	if got := len(loadedDocs(rdb)); got != docs {
 		t.Errorf("recovered documents = %d, want %d", got, docs)
 	}
 }

@@ -115,3 +115,9 @@ var (
 	// longer) a follower.
 	ErrNotFollower = errors.New("sgmldb: not a follower")
 )
+
+// errForeignDTD refuses history pinned to another DTD than the one the
+// database was opened with: a checkpoint image (adopt) or a schema record
+// (commit). It is unexported: no caller can recover from it but by
+// opening the database with the right DTD.
+var errForeignDTD = errors.New("sgmldb: history is for a different DTD")

@@ -115,7 +115,7 @@ func TestImageExportReloads(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, oid := range img.Loader.Documents() {
+	for _, oid := range loadedDocs(img) {
 		out, err := img.Export(oid)
 		if err != nil {
 			t.Fatalf("export %s from image: %v", oid, err)

@@ -30,6 +30,11 @@ var (
 // if the whole load succeeded. A failed load discards the layer, so the
 // published instance never sees the partial objects a failed sibling or
 // an unresolved IDREF would otherwise leave behind.
+//
+// A Loader is cheap and need not live long: the database facade stages
+// every commit on a fresh one, adopted onto the published instance and
+// its document list, and simply drops it — with its staged layer — when
+// anything later in the commit fails.
 type Loader struct {
 	Mapping  *Mapping
 	Instance *store.Instance
@@ -132,39 +137,10 @@ func (l *Loader) loadOne(doc *sgml.Document) (object.OID, error) {
 	return oid, nil
 }
 
-// Mark captures the loader's current state so a caller can roll back
-// work done after a successful LoadAll. LoadAll rolls its own batch back
-// on failure, but a caller that does more work with the staged instance
-// before publishing (the facade rebuilds the text index) needs to undo
-// the whole load if that later work fails: Mark before LoadAll, Restore
-// on failure.
-type Mark struct {
-	inst  *store.Instance
-	nDocs int
-}
-
-// Mark records the instance and document list to restore to.
-func (l *Loader) Mark() Mark {
-	return Mark{inst: l.Instance, nDocs: len(l.docs)}
-}
-
-// Restore abandons everything loaded since the mark was taken: the
-// staged copy-on-write layer is dropped — and eagerly discarded, so the
-// abandoned layer's maps become garbage now rather than at the next
-// successful load — and the document list truncated, leaving the loader
-// exactly as Mark saw it. If the loader already rolled itself back (a
-// failed LoadAll), Restore is a no-op on the instance.
-func (l *Loader) Restore(m Mark) {
-	if staged := l.Instance; staged != m.inst {
-		l.Instance = m.inst
-		staged.Discard()
-	}
-	l.docs = l.docs[:m.nDocs]
-}
-
-// Adopt swings the loader onto a recovered instance and document list —
-// the checkpoint-recovery path, where the instance comes from a
-// serialized snapshot rather than a chain of loads.
+// Adopt swings the loader onto an existing instance and its document
+// list (the value of the persistence root), so the next load builds on
+// them: a published database version, or a snapshot decoded from a
+// checkpoint rather than built by a chain of loads.
 func (l *Loader) Adopt(inst *store.Instance, docs []object.OID) {
 	l.Instance = inst
 	l.docs = append(l.docs[:0], docs...)

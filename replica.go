@@ -3,8 +3,6 @@ package sgmldb
 import (
 	"fmt"
 
-	"sgmldb/internal/object"
-	"sgmldb/internal/sgml"
 	"sgmldb/internal/wal"
 )
 
@@ -119,9 +117,9 @@ func (db *Database) Promote() (uint64, error) {
 		newTerm = ft
 	}
 	newTerm++
-	if err := db.walLog.Append(wal.Record{Kind: wal.KindTerm, Term: newTerm}); err != nil {
+	if _, err := db.commit(wal.Record{Kind: wal.KindTerm, Term: newTerm}, nil, true); err != nil {
 		db.loadMu.Unlock()
-		return 0, db.wrapDegraded(err)
+		return 0, err
 	}
 	db.raiseTerm(newTerm)
 	db.follower.Store(false)
@@ -180,9 +178,6 @@ func (db *Database) ApplyCheckpoint(ck *wal.Checkpoint) error {
 	if !db.follower.Load() {
 		return fmt.Errorf("%w: ApplyCheckpoint", ErrNotFollower)
 	}
-	if ck.DTD != db.dtdSource {
-		return fmt.Errorf("sgmldb: checkpoint is for a different DTD")
-	}
 	db.loadMu.Lock()
 	defer db.loadMu.Unlock()
 	if err := db.closedErr(); err != nil {
@@ -195,28 +190,17 @@ func (db *Database) ApplyCheckpoint(ck *wal.Checkpoint) error {
 		return fmt.Errorf("%w: checkpoint carries term %d, follower history is already at term %d",
 			ErrStaleTerm, ck.Term, db.term.Load())
 	}
-	if db.walLog != nil {
-		// Reset before writing the checkpoint: a crash between the two
-		// leaves an empty log plus the older checkpoint — a rewound but
-		// recoverable follower. The reverse order could leave the stale
-		// suffix alive behind a newer checkpoint.
-		if err := db.walLog.Reset(ck.Seq, ck.Term); err != nil {
-			return db.wrapDegraded(err)
-		}
-		if err := db.writeCheckpoint(ck); err != nil {
-			return err
-		}
-		db.recordsSinceCkpt = 0
+	if err := db.adopt(ck, true); err != nil {
+		return err
 	}
-	db.adopt(ck)
 	db.appliedSeq.Store(ck.Seq)
 	db.raiseTerm(ck.Term)
 	db.ObservePrimarySeq(ck.Seq)
 	return nil
 }
 
-// ApplyRecord applies one shipped log record through the deterministic
-// replay path. Records must arrive in exact sequence order — the apply
+// ApplyRecord applies one shipped log record through the commit path
+// every write and every replayed record takes. Records must arrive in exact sequence order — the apply
 // loop anchors its feed requests at AppliedSeq, so a gap (ErrReplicaGap)
 // or a record from a superseded term (ErrStaleTerm) means the stream is
 // broken and the follower must re-bootstrap rather than guess around it
@@ -248,40 +232,12 @@ func (db *Database) ApplyRecord(rec wal.Record) error {
 		// bootstrap); appending here would misnumber durable history.
 		return fmt.Errorf("%w: local log at %d, applied position %d", ErrReplicaGap, db.walLog.Seq(), applied)
 	}
-	switch rec.Kind {
-	case wal.KindSchema:
-		if rec.Schema != db.dtdSource {
-			return fmt.Errorf("sgmldb: primary log is for a different DTD")
-		}
-		if durable {
-			if err := db.walLog.Append(rec); err != nil {
-				return db.wrapDegraded(err)
-			}
-		}
-	case wal.KindLoad:
-		docs := make([]*sgml.Document, len(rec.Docs))
-		for i, src := range rec.Docs {
-			d, err := sgml.ParseDocument(db.Mapping.DTD, src)
-			if err != nil {
-				return fmt.Errorf("sgmldb: apply record %d: %w", rec.Seq, err)
-			}
-			docs[i] = d
-		}
-		if _, err := db.commitLoad(docs, rec.Docs, durable, rec.Term); err != nil {
-			return fmt.Errorf("sgmldb: apply record %d: %w", rec.Seq, err)
-		}
-	case wal.KindName:
-		if err := db.commitName(rec.Name, object.OID(rec.OID), durable, rec.Term); err != nil {
-			return fmt.Errorf("sgmldb: apply record %d: %w", rec.Seq, err)
-		}
-	case wal.KindTerm:
-		if durable {
-			if err := db.walLog.Append(rec); err != nil {
-				return db.wrapDegraded(err)
-			}
-		}
-	default:
-		return fmt.Errorf("sgmldb: apply record %d: unknown kind %d", rec.Seq, rec.Kind)
+	docs, err := db.parseDocs(rec.Docs)
+	if err == nil {
+		_, err = db.commit(rec, docs, durable)
+	}
+	if err != nil {
+		return fmt.Errorf("sgmldb: apply record %d: %w", rec.Seq, err)
 	}
 	db.appliedSeq.Store(rec.Seq)
 	db.raiseTerm(rec.Term)

@@ -29,7 +29,10 @@
 // new (instance, index) pair with one atomic pointer swap only when the
 // whole change succeeded. A failed load is discarded wholesale: the
 // published instance is never touched, so no orphan objects can appear
-// (load atomicity by construction).
+// (load atomicity by construction). Live writes, the replay of a durable
+// database's log and a follower's apply of shipped records all take this
+// one commit path, and the published snapshot is the only writer state
+// it reads.
 //
 // Readers (Query, QueryContext, prepared Run, Text, Check, Stats, Export)
 // pin the snapshot current at their start and never block on writers — a
@@ -77,7 +80,6 @@ import (
 // the full-text index.
 type Database struct {
 	Mapping *dtdmap.Mapping
-	Loader  *dtdmap.Loader
 	Engine  *oql.Engine
 
 	// loadMu serialises writers (loads and root naming). Readers never
@@ -203,10 +205,10 @@ func open(dtdSource string, follower bool, opts []Option) (*Database, error) {
 	return db, nil
 }
 
-// newDatabase compiles and maps the DTD, builds the engine over the
-// loader's empty instance, publishes that instance with an empty text
-// index and applies the open options. The caller may then recover a data
-// directory or adopt an image over it.
+// newDatabase compiles and maps the DTD, builds the engine over an empty
+// instance of the mapped schema, publishes that instance with an empty
+// text index and applies the open options. The caller may then recover a
+// data directory or adopt an image over it.
 func newDatabase(dtdSource string, opts []Option) (*Database, error) {
 	dtd, err := sgml.ParseDTD(dtdSource)
 	if err != nil {
@@ -216,12 +218,12 @@ func newDatabase(dtdSource string, opts []Option) (*Database, error) {
 	if err != nil {
 		return nil, err
 	}
-	loader := dtdmap.NewLoader(m)
-	db := &Database{Mapping: m, Loader: loader, dtdSource: dtdSource}
-	env := calculus.NewEnv(loader.Instance)
+	inst := store.NewInstance(m.Schema)
+	db := &Database{Mapping: m, dtdSource: dtdSource}
+	env := calculus.NewEnv(inst)
 	env.TextOf = dtdmap.TextOf
 	db.Engine = oql.New(env)
-	db.Engine.Publish(oql.State{Snap: loader.Instance.Snapshot(), Index: text.NewIndex()})
+	db.Engine.Publish(oql.State{Snap: inst.Snapshot(), Index: text.NewIndex()})
 	for _, opt := range opts {
 		opt(db)
 	}
@@ -229,19 +231,34 @@ func newDatabase(dtdSource string, opts []Option) (*Database, error) {
 }
 
 // adopt installs a checkpoint image wholesale — recovery's newest
-// checkpoint, a follower's bootstrap, a reopened Save image: the epoch is
-// re-anchored so the sequence continues where the image ended, the
-// loader continues from the image's documents, and the image's instance
-// and index are published together. Caller holds loadMu or owns db
-// exclusively (open).
-func (db *Database) adopt(ck *wal.Checkpoint) {
-	ck.Inst.SetEpoch(ck.Epoch)
-	docs := make([]object.OID, len(ck.Docs))
-	for i, o := range ck.Docs {
-		docs[i] = object.OID(o)
+// checkpoint, a follower's bootstrap, a reopened Save image — once it
+// has checked the image is for this database's DTD. With persist (a
+// follower's bootstrap) a durable database first resets its log to the
+// image's (seq, term) and writes the image as its own checkpoint. The
+// epoch is re-anchored so the sequence continues where the image ended,
+// and the image's instance and index are published together; the next
+// load reads the document list from the image's plural root. Caller
+// holds loadMu or owns db exclusively (open).
+func (db *Database) adopt(ck *wal.Checkpoint, persist bool) error {
+	if ck.DTD != db.dtdSource {
+		return errForeignDTD
 	}
-	db.Loader.Adopt(ck.Inst, docs)
+	if persist && db.walLog != nil {
+		// Reset before writing the checkpoint: a crash between the two
+		// leaves an empty log plus the older checkpoint — a rewound but
+		// recoverable follower. The reverse order could leave the stale
+		// suffix alive behind a newer checkpoint.
+		if err := db.walLog.Reset(ck.Seq, ck.Term); err != nil {
+			return db.wrapDegraded(err)
+		}
+		if err := db.writeCheckpoint(ck); err != nil {
+			return err
+		}
+		db.recordsSinceCkpt = 0
+	}
+	ck.Inst.SetEpoch(ck.Epoch)
 	db.Engine.Publish(oql.State{Snap: ck.Inst.Snapshot(), Index: ck.Index})
+	return nil
 }
 
 // state returns the published snapshot queries and read-only methods
@@ -283,9 +300,9 @@ func (db *Database) LoadDocument(src string) (object.OID, error) {
 //
 // Failures anywhere on the staging path — a document that fails
 // validation or loading, and even a panic while rebuilding the text
-// index — roll the loader back to the pre-load state (panics surface as
-// ErrInternal); the published snapshot was never touched, so concurrent
-// queries are unaffected either way.
+// index — discard the staged layer (panics surface as ErrInternal); the
+// published snapshot was never touched, so concurrent queries are
+// unaffected either way.
 func (db *Database) LoadDocuments(srcs []string) (oids []object.OID, err error) {
 	if db.follower.Load() {
 		return nil, fmt.Errorf("%w: followers apply the primary's log only", ErrReadOnly)
@@ -293,8 +310,42 @@ func (db *Database) LoadDocuments(srcs []string) (oids []object.OID, err error) 
 	if err := db.degradedErr(); err != nil {
 		return nil, err
 	}
-	// Parse and validate outside the writer lock: only instance building
-	// needs serialisation.
+	// Parse and validate outside the writer lock: only staging needs
+	// serialisation.
+	docs, err := db.parseDocs(srcs)
+	if err != nil || len(docs) == 0 {
+		return nil, err
+	}
+	db.loadMu.Lock()
+	defer db.loadMu.Unlock()
+	return db.commit(wal.Record{Kind: wal.KindLoad, Docs: srcs}, docs, true)
+}
+
+// Name declares a root of persistence for an object (e.g. my_article),
+// making it addressable from queries. It reports ErrUnknownObject for an
+// unassigned oid, and ErrTypecheck when the root already exists with a
+// type the object is not in (Articles is a list of documents; a root
+// first bound to an article stays an article root). Like a load, the
+// change is staged on a copy-on-write layer (with a cloned schema when
+// the root is new, so pinned readers keep a stable view of G) and
+// published atomically.
+func (db *Database) Name(name string, oid object.OID) error {
+	if db.follower.Load() {
+		return fmt.Errorf("%w: followers apply the primary's log only", ErrReadOnly)
+	}
+	if err := db.degradedErr(); err != nil {
+		return err
+	}
+	db.loadMu.Lock()
+	defer db.loadMu.Unlock()
+	_, err := db.commit(wal.Record{Kind: wal.KindName, Name: name, OID: uint64(oid)}, nil, true)
+	return err
+}
+
+// parseDocs parses and validates the document sources of a load record
+// against the DTD — the one parse step of a live load, a replayed record
+// and a shipped one. A record of another kind has no sources.
+func (db *Database) parseDocs(srcs []string) ([]*sgml.Document, error) {
 	docs := make([]*sgml.Document, len(srcs))
 	for i, src := range srcs {
 		doc, err := sgml.ParseDocument(db.Mapping.DTD, src)
@@ -303,32 +354,27 @@ func (db *Database) LoadDocuments(srcs []string) (oids []object.OID, err error) 
 		}
 		docs[i] = doc
 	}
-	if len(docs) == 0 {
-		return nil, nil
-	}
-	db.loadMu.Lock()
-	defer db.loadMu.Unlock()
-	return db.commitLoad(docs, srcs, true, 0)
+	return docs, nil
 }
 
-// commitLoad stages a parsed batch, makes it durable (when the database
-// has a log and logIt is set — recovery replays through here with logIt
-// false), and publishes it. Caller holds loadMu.
+// commit is the one write path: primary writes, recovery replay and
+// follower apply all pass every record through it. It stages rec on the
+// published state by kind — a Load maps docs (the parsed rec.Docs) into a
+// private copy-on-write layer and adds them to a clone of the index, a
+// Name binds a root on a fresh layer, a Schema record must pin this
+// database's DTD, a Term record stages nothing — then, when logIt is set
+// and the database has a log, appends rec, and publishes what was staged.
+// The append is fsynced before the publish, so a published epoch is
+// always recoverable. A failure or panic (ErrInternal) anywhere before
+// the publish discards the staged layer: the published state was never
+// touched. Caller holds loadMu.
 //
-// After a successful LoadAll the loader already sits on the staged layer;
-// a failure between that point and Publish (the index rebuild can panic,
-// the log append can fail) must swing it back, or the "failed" batch
-// would leak into the next successful load. The mark captures the
-// pre-load state, and the rollback runs under loadMu, so no other writer
-// sees the window. The append is fsynced before Publish: a published
-// epoch is always recoverable.
-//
-// recTerm is the term to log the record under: 0 on the primary write
-// path (the log stamps its current term), the shipped record's term on a
-// durable follower's apply path.
+// rec.Term is 0 on the primary write path (the log stamps its current
+// term) and the shipped record's term on a follower. The checkpoint
+// cadence counts the logged records that published.
 //
 //sgmldbvet:commitpath
-func (db *Database) commitLoad(docs []*sgml.Document, srcs []string, logIt bool, recTerm uint64) (oids []object.OID, err error) {
+func (db *Database) commit(rec wal.Record, docs []*sgml.Document, logIt bool) (oids []object.OID, err error) {
 	if err := db.closedErr(); err != nil {
 		return nil, err
 	}
@@ -337,103 +383,115 @@ func (db *Database) commitLoad(docs []*sgml.Document, srcs []string, logIt bool,
 			return nil, err
 		}
 	}
-	mark := db.Loader.Mark()
+	cur := db.state()
+	published := cur.Snap.Inst
+	var staged *store.Instance // nil until a layer is staged
+	ix := cur.Index
 	defer func() {
 		if r := recover(); r != nil {
 			err = calculus.Internal(r)
 		}
 		if err != nil {
-			db.Loader.Restore(mark)
 			oids = nil
+			// A load record without documents stages nothing new: LoadAll
+			// leaves the loader on the published instance itself.
+			if staged != nil && staged != published {
+				staged.Discard()
+			}
 		}
 	}()
-	oids, err = db.Loader.LoadAll(docs)
-	if err != nil {
-		return nil, err
-	}
-	staged := db.Loader.Instance
-	ix := db.state().Index.Clone()
-	for _, oid := range oids {
-		if err = ix.Add(text.DocID(oid), dtdmap.TextOf(staged, oid)); err != nil {
+	switch rec.Kind {
+	case wal.KindLoad:
+		ld := dtdmap.NewLoader(db.Mapping)
+		ld.Adopt(published, rootDocs(published, db.Mapping.RootName))
+		if oids, err = ld.LoadAll(docs); err != nil {
 			return nil, err
 		}
+		staged = ld.Instance
+		ix = cur.Index.Clone()
+		for _, oid := range oids {
+			if err = ix.Add(text.DocID(oid), dtdmap.TextOf(staged, oid)); err != nil {
+				return nil, err
+			}
+		}
+	case wal.KindName:
+		if staged, err = stageName(published, rec.Name, object.OID(rec.OID)); err != nil {
+			return nil, err
+		}
+	case wal.KindSchema:
+		if rec.Schema != db.dtdSource {
+			return nil, errForeignDTD
+		}
+	case wal.KindTerm:
+		// a promotion only moves the term, which the log and the caller
+		// track; there is nothing to stage
+	default:
+		return nil, fmt.Errorf("sgmldb: unknown record kind %d", rec.Kind)
 	}
 	if logIt && db.walLog != nil {
-		if err = db.walLog.Append(wal.Record{Kind: wal.KindLoad, Docs: srcs, Term: recTerm}); err != nil {
+		if err = db.walLog.Append(rec); err != nil {
 			return nil, db.wrapDegraded(err)
 		}
 	}
-	db.Engine.Publish(oql.State{Snap: staged.Snapshot(), Index: ix})
-	if logIt {
-		db.maybeCheckpoint(staged, ix)
+	if staged != nil {
+		db.Engine.Publish(oql.State{Snap: staged.Snapshot(), Index: ix})
+		if logIt {
+			db.maybeCheckpoint(staged, ix)
+		}
 	}
 	return oids, nil
 }
 
-// Name declares a root of persistence for an object (e.g. my_article),
-// making it addressable from queries. It reports ErrUnknownObject for an
-// unassigned oid. Like a load, the change is staged on a copy-on-write
-// layer (with a cloned schema when the root is new, so pinned readers
-// keep a stable view of G) and published atomically.
-func (db *Database) Name(name string, oid object.OID) (err error) {
-	if db.follower.Load() {
-		return fmt.Errorf("%w: followers apply the primary's log only", ErrReadOnly)
-	}
-	if err := db.degradedErr(); err != nil {
-		return err
-	}
-	defer rescue(&err)
-	db.loadMu.Lock()
-	defer db.loadMu.Unlock()
-	return db.commitName(name, oid, true, 0)
-}
-
-// commitName stages, logs (when logIt — recovery replays with it unset),
-// and publishes one root naming. Caller holds loadMu.
-//
-//sgmldbvet:commitpath
-func (db *Database) commitName(name string, oid object.OID, logIt bool, recTerm uint64) error {
-	if err := db.closedErr(); err != nil {
-		return err
-	}
-	if logIt {
-		if err := db.fencedErr(); err != nil {
-			return err
-		}
-	}
-	cur := db.state()
-	published := cur.Snap.Inst
+// stageName stages one root naming on a fresh layer over published. A
+// new root is declared with the object's own class; an existing root
+// keeps its declared type, and an object outside that type's domain is
+// refused with ErrTypecheck before anything is staged — the same
+// membership Instance.Check verifies, tested here for the one bound
+// value rather than in SetRoot, which every load calls.
+func stageName(published *store.Instance, name string, oid object.OID) (*store.Instance, error) {
 	class, ok := published.ClassOf(oid)
 	if !ok {
-		return fmt.Errorf("%w: %s", ErrUnknownObject, oid)
+		return nil, fmt.Errorf("%w: %s", ErrUnknownObject, oid)
+	}
+	schema := published.Schema()
+	t, exists := schema.RootType(name)
+	if exists && !object.MemberOf(oid, t, schema.Hierarchy(), published.ClassOf) {
+		return nil, fmt.Errorf("%w: %s (a %s) is not in dom(%s), the type of root %s", ErrTypecheck, oid, class, t, name)
+	}
+	if !exists {
+		schema = schema.Clone()
+		if err := schema.AddRoot(name, object.Class(class)); err != nil {
+			return nil, err
+		}
 	}
 	staged := published.Begin()
-	if _, exists := published.Schema().RootType(name); !exists {
-		s2 := published.Schema().Clone()
-		if err := s2.AddRoot(name, object.Class(class)); err != nil {
-			staged.Discard()
-			return err
-		}
-		staged.AdoptSchema(s2)
-	}
+	staged.AdoptSchema(schema)
 	if err := staged.SetRoot(name, oid); err != nil {
 		staged.Discard()
-		return err
+		return nil, err
 	}
-	if logIt && db.walLog != nil {
-		if err := db.walLog.Append(wal.Record{Kind: wal.KindName, Name: name, OID: uint64(oid), Term: recTerm}); err != nil {
-			staged.Discard()
-			return db.wrapDegraded(err)
+	return staged, nil
+}
+
+// rootDocs lists the loaded document objects in load order: the value of
+// the mapping's plural persistence root (e.g. Articles), which every load
+// rebinds to the whole list and Name cannot retype.
+func rootDocs(inst *store.Instance, root string) []object.OID {
+	v, ok := inst.Root(root)
+	if !ok {
+		return nil
+	}
+	l, ok := v.(*object.List)
+	if !ok {
+		return nil
+	}
+	docs := make([]object.OID, 0, l.Len())
+	for i := 0; i < l.Len(); i++ {
+		if o, ok := l.At(i).(object.OID); ok {
+			docs = append(docs, o)
 		}
 	}
-	db.Engine.Publish(oql.State{Snap: staged.Snapshot(), Index: cur.Index})
-	// The loader must build the next load on the newly published version,
-	// or it would branch from a stale base and drop the root binding.
-	db.Loader.Instance = staged
-	if logIt {
-		db.maybeCheckpoint(staged, cur.Index)
-	}
-	return nil
+	return docs
 }
 
 // Query runs an extended O₂SQL query and returns its value (a set for
@@ -561,7 +619,9 @@ func OpenSnapshot(path string, opts ...Option) (*Database, error) {
 	if db.dataDir != "" {
 		return nil, fmt.Errorf("sgmldb: OpenSnapshot does not take WithDataDir; open a data directory with OpenDTD")
 	}
-	db.adopt(ck)
+	if err := db.adopt(ck, false); err != nil {
+		return nil, err
+	}
 	return db, nil
 }
 
