@@ -2,6 +2,8 @@ package store
 
 import (
 	"bytes"
+	"reflect"
+	"strings"
 	"testing"
 
 	"sgmldb/internal/object"
@@ -259,7 +261,7 @@ func TestDiscardReleasesLayer(t *testing.T) {
 	if staged.base != nil {
 		t.Error("Discard kept the base reference")
 	}
-	if staged.class != nil || staged.values != nil || staged.extent != nil || staged.roots != nil || staged.method != nil {
+	if staged.class != nil || staged.values != nil || staged.pages != nil || staged.roots != nil || staged.method != nil {
 		t.Error("Discard kept staged maps alive")
 	}
 	// The base is untouched and stageable again.
@@ -283,5 +285,94 @@ func TestSetEpoch(t *testing.T) {
 	}
 	if got := in.Begin().Epoch(); got != 42 {
 		t.Errorf("Begin after SetEpoch: epoch = %d, want 42", got)
+	}
+}
+
+// TestFlattenSharesUntouchedPages pins what a flatten costs: the new flat
+// instance shares every page the merged layers did not write with the
+// old flat instance, copies the ones they wrote, and copies a shared page
+// again before writing into it, so the old version never changes.
+func TestFlattenSharesUntouchedPages(t *testing.T) {
+	in := NewInstance(cowSchema(t))
+	for i := 0; i < 3*pageSize; i++ { // pages 0, 1 and 2 (oid 0 is never used)
+		newDoc(t, in, i)
+	}
+	base := in
+	rewritten := object.OID(5) // in page 0
+	for i := 0; in.Depth() < maxCOWDepth; i++ {
+		staged := in.Begin()
+		newDoc(t, staged, 1000+i)
+		if i == 0 {
+			if err := staged.SetValue(rewritten, object.NewTuple(object.Field{Name: "n", Value: object.Int(-1)})); err != nil {
+				t.Fatal(err)
+			}
+		}
+		in = staged
+	}
+	f := in.Begin()
+	if f.Depth() != 0 {
+		t.Fatalf("Begin at depth %d did not flatten", maxCOWDepth)
+	}
+	if f.pages[1] != base.pages[1] {
+		t.Error("a page no merged layer wrote was copied")
+	}
+	for _, k := range []int{0, 3} {
+		if f.pages[k] == base.pages[k] {
+			t.Errorf("page %d, written by a merged layer, is shared", k)
+		}
+	}
+	if got, want := f.NumObjects(), in.NumObjects(); got != want {
+		t.Errorf("flattened NumObjects = %d, want %d", got, want)
+	}
+	if !reflect.DeepEqual(f.Objects(), in.Objects()) || !reflect.DeepEqual(f.Extent("Doc"), in.Extent("Doc")) {
+		t.Error("flattened objects or extent differ from the chain's")
+	}
+	for _, o := range in.Objects() {
+		want, _ := in.Deref(o)
+		if got, ok := f.Deref(o); !ok || !object.Equal(got, want) {
+			t.Fatalf("flattened ν(%s) = %v, want %s", o, got, want)
+		}
+	}
+	// Writing through the flattened instance into a shared page copies it.
+	shared := object.OID(pageSize + 7)
+	before, _ := base.Deref(shared)
+	if err := f.SetValue(shared, object.NewTuple(object.Field{Name: "n", Value: object.Int(-2)})); err != nil {
+		t.Fatal(err)
+	}
+	if f.pages[1] == base.pages[1] {
+		t.Error("a write into a shared page did not copy it")
+	}
+	if after, _ := base.Deref(shared); !object.Equal(after, before) {
+		t.Errorf("a write through the flattened instance changed the old version: %s", after)
+	}
+	if after, _ := in.Deref(shared); !object.Equal(after, before) {
+		t.Errorf("a write through the flattened instance changed the chain: %s", after)
+	}
+}
+
+// TestLoadRefusesOutOfSequenceOIDs: a snapshot's objects carry the dense
+// oids Save writes, 1, 2, 3, … in order; anything else is refused rather
+// than sized into pages.
+func TestLoadRefusesOutOfSequenceOIDs(t *testing.T) {
+	for _, objs := range []string{
+		"object 2 3:Doc vn\n",
+		"object 1 3:Doc vn\nobject 1 3:Doc vn\n",
+		"object 1 3:Doc vn\nobject 18446744073709551615 3:Doc vn\n",
+	} {
+		src := snapshotMagic + "\nclass 3:Doc ti\n" + objs + "end\n"
+		if _, err := Load(strings.NewReader(src)); err == nil {
+			t.Errorf("Load accepted %q", objs)
+		}
+	}
+	src := snapshotMagic + "\nclass 3:Doc ti\nobject 1 3:Doc vi4;\nobject 2 3:Doc vi5;\nend\n"
+	in, err := Load(strings.NewReader(src))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if v, _ := in.Deref(2); v != object.Int(5) || in.NumObjects() != 2 {
+		t.Errorf("loaded ν(o2) = %v, NumObjects = %d", v, in.NumObjects())
+	}
+	if o, err := in.NewObject("Doc", object.Int(6)); err != nil || o != 3 {
+		t.Errorf("next oid after load = %v (%v), want o3", o, err)
 	}
 }

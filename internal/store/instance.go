@@ -20,13 +20,17 @@ type Method func(inst *Instance, recv object.OID, args []object.Value) (object.V
 //   - γ assigns each persistence root a value of its declared type.
 //
 // Concurrency: an Instance is versioned copy-on-write (see cow.go). The
-// readers (Deref, ClassOf, Root, Extent, …) are map lookups through the
-// layer chain and safe to call from any number of goroutines, provided no
-// mutator (NewObject, SetValue, SetRoot, BindMethod) runs on the same
-// layer at the same time. The sgmldb facade never mutates a published
-// layer: writers stage into a private Begin layer and publish it with an
-// atomic pointer swap, so the hot query path pays no per-Deref
+// readers (Deref, ClassOf, Root, Extent, …) are map and page lookups
+// through the layer chain and safe to call from any number of goroutines,
+// provided no mutator (NewObject, SetValue, SetRoot, BindMethod) runs on
+// the same layer at the same time. The sgmldb facade never mutates a
+// published layer: writers stage into a private Begin layer and publish
+// it with an atomic pointer swap, so the hot query path pays no per-Deref
 // synchronisation and never blocks on a load.
+//
+// Oids are dense: NewObject hands them out in ascending order from 1 and
+// nothing removes an object, so π_d(c) in creation order is π_d(c) by
+// ascending oid, derived by scanning rather than kept per class.
 type Instance struct {
 	schema *Schema
 	nextID object.OID
@@ -37,11 +41,33 @@ type Instance struct {
 	depth int    // chain length below this layer
 	epoch uint64 // version number, bumped by Begin
 
+	// A flat instance keeps π_d and ν in pages by oid range. A page this
+	// instance did not make (owned[k] false) is shared with the instance
+	// it was flattened from and is copied before its first write.
+	pages []*page
+	owned []bool
+	count int // objects in pages
+
+	// A delta layer keeps π_d and ν of the objects it staged in maps.
 	class  map[object.OID]string       // π_d, by oid (this layer only)
-	extent map[string][]object.OID     // π_d, by class, in creation order (this layer only)
 	values map[object.OID]object.Value // ν (this layer only)
-	roots  map[string]object.Value     // γ (this layer only)
-	method map[string]Method           // μ, keyed Class::Name (this layer only)
+
+	roots  map[string]object.Value // γ (this layer only)
+	method map[string]Method       // μ, keyed Class::Name (this layer only)
+}
+
+// pageBits sizes a page: 256 oids, 8 KiB, so a flatten that rewrites the
+// pages of eight single-document loads copies a few pages.
+const (
+	pageBits = 8
+	pageSize = 1 << pageBits
+)
+
+// page holds π_d and ν of the oids [k·pageSize, (k+1)·pageSize); an
+// unassigned oid has a nil value.
+type page struct {
+	class  [pageSize]string
+	values [pageSize]object.Value
 }
 
 // NewInstance returns an empty instance of the schema.
@@ -49,12 +75,63 @@ func NewInstance(schema *Schema) *Instance {
 	return &Instance{
 		schema: schema,
 		nextID: 1,
-		class:  make(map[object.OID]string),
-		extent: make(map[string][]object.OID),
-		values: make(map[object.OID]object.Value),
 		roots:  make(map[string]object.Value),
 		method: make(map[string]Method),
 	}
+}
+
+// flat reports whether the instance is a flat (bottom) layer.
+func (in *Instance) flat() bool { return in.base == nil }
+
+// slot locates oid o in a flat instance's pages, or returns a nil page.
+func (in *Instance) slot(o object.OID) (*page, int) {
+	k := uint64(o) >> pageBits
+	if k >= uint64(len(in.pages)) {
+		return nil, 0
+	}
+	return in.pages[k], int(o & (pageSize - 1))
+}
+
+// writableSlot locates oid o in a flat instance's pages for a write,
+// first copying a page shared with an older instance, or making it.
+func (in *Instance) writableSlot(o object.OID) (*page, int) {
+	k := int(uint64(o) >> pageBits)
+	for len(in.pages) <= k {
+		in.pages = append(in.pages, nil)
+		in.owned = append(in.owned, true)
+	}
+	switch p := in.pages[k]; {
+	case p == nil:
+		in.pages[k] = new(page)
+	case !in.owned[k]:
+		cp := *p
+		in.pages[k], in.owned[k] = &cp, true
+	}
+	return in.pages[k], int(o & (pageSize - 1))
+}
+
+// create assigns π_d(o) and ν(o) of a new object in this layer.
+func (in *Instance) create(o object.OID, class string, v object.Value) {
+	if !in.flat() {
+		in.class[o] = class
+		in.values[o] = v
+		return
+	}
+	p, i := in.writableSlot(o)
+	if p.values[i] == nil {
+		in.count++
+	}
+	p.class[i], p.values[i] = class, v
+}
+
+// put assigns ν(o) of an existing object in this layer.
+func (in *Instance) put(o object.OID, v object.Value) {
+	if !in.flat() {
+		in.values[o] = v
+		return
+	}
+	p, i := in.writableSlot(o)
+	p.values[i] = v
 }
 
 // Schema returns the schema the instance conforms to.
@@ -70,12 +147,10 @@ func (in *Instance) NewObject(class string, v object.Value) (object.OID, error) 
 	}
 	o := in.nextID
 	in.nextID++
-	in.class[o] = class
-	in.extent[class] = append(in.extent[class], o)
 	if v == nil {
 		v = object.Nil{}
 	}
-	in.values[o] = v
+	in.create(o, class, v)
 	return o, nil
 }
 
@@ -88,26 +163,35 @@ func (in *Instance) SetValue(o object.OID, v object.Value) error {
 	if v == nil {
 		v = object.Nil{}
 	}
-	in.values[o] = v
+	in.put(o, v)
 	return nil
 }
 
-// Deref returns ν(o) and whether the oid is assigned.
+// Deref returns ν(o) and whether the oid is assigned: the delta layers'
+// maps, then one page lookup.
 func (in *Instance) Deref(o object.OID) (object.Value, bool) {
-	for l := in; l != nil; l = l.base {
+	l := in
+	for ; !l.flat(); l = l.base {
 		if v, ok := l.values[o]; ok {
 			return v, true
 		}
+	}
+	if p, i := l.slot(o); p != nil && p.values[i] != nil {
+		return p.values[i], true
 	}
 	return nil, false
 }
 
 // ClassOf returns the (most specific) class of an oid under π_d.
 func (in *Instance) ClassOf(o object.OID) (string, bool) {
-	for l := in; l != nil; l = l.base {
+	l := in
+	for ; !l.flat(); l = l.base {
 		if c, ok := l.class[o]; ok {
 			return c, true
 		}
+	}
+	if p, i := l.slot(o); p != nil && p.values[i] != nil {
+		return p.class[i], true
 	}
 	return "", false
 }
@@ -115,54 +199,47 @@ func (in *Instance) ClassOf(o object.OID) (string, bool) {
 // Extent returns π(c): the oids of class c and all of its subclasses, in
 // creation order.
 func (in *Instance) Extent(c string) []object.OID {
-	subs := in.schema.Hierarchy().Subclasses(c)
-	var out []object.OID
-	for _, s := range subs {
-		for l := in; l != nil; l = l.base {
-			out = append(out, l.extent[s]...)
-		}
+	subs := make(map[string]bool)
+	for _, s := range in.schema.Hierarchy().Subclasses(c) {
+		subs[s] = true
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
+	var out []object.OID
+	in.eachObject(func(o object.OID, c string, _ object.Value) {
+		if subs[c] {
+			out = append(out, o)
+		}
+	})
 	return out
 }
 
 // DirectExtent returns π_d(c): the oids created directly in class c, in
 // creation order.
 func (in *Instance) DirectExtent(c string) []object.OID {
-	// Base layers hold the older (smaller) oids: append bottom-up.
-	var layers []*Instance
-	n := 0
-	for l := in; l != nil; l = l.base {
-		layers = append(layers, l)
-		n += len(l.extent[c])
-	}
-	out := make([]object.OID, 0, n)
-	for i := len(layers) - 1; i >= 0; i-- {
-		out = append(out, layers[i].extent[c]...)
-	}
+	var out []object.OID
+	in.eachObject(func(o object.OID, oc string, _ object.Value) {
+		if oc == c {
+			out = append(out, o)
+		}
+	})
 	return out
 }
 
 // Objects returns every assigned oid in ascending order.
 func (in *Instance) Objects() []object.OID {
 	out := make([]object.OID, 0, in.NumObjects())
-	for l := in; l != nil; l = l.base {
-		for o := range l.class {
-			out = append(out, o)
-		}
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
+	in.eachObject(func(o object.OID, _ string, _ object.Value) { out = append(out, o) })
 	return out
 }
 
 // NumObjects reports |O|. Oids are created exactly once (nextID carries
 // over into copy-on-write layers), so the per-layer counts are disjoint.
 func (in *Instance) NumObjects() int {
+	l := in
 	n := 0
-	for l := in; l != nil; l = l.base {
+	for ; !l.flat(); l = l.base {
 		n += len(l.class)
 	}
-	return n
+	return n + l.count
 }
 
 // SetRoot assigns γ(name) = v. The root must be declared in the schema.
@@ -260,9 +337,11 @@ func (in *Instance) Check() []error {
 	h := in.schema.Hierarchy()
 	classOf := func(o object.OID) (string, bool) { return in.ClassOf(o) }
 	assigned := func(o object.OID) bool { _, ok := in.Deref(o); return ok }
+	extents := make(map[string][]object.OID)
+	in.eachObject(func(o object.OID, c string, _ object.Value) { extents[c] = append(extents[c], o) })
 	for _, c := range h.Classes() {
 		t, _ := h.TypeOf(c)
-		for _, o := range in.DirectExtent(c) {
+		for _, o := range extents[c] {
 			v, _ := in.Deref(o)
 			if !object.MemberOf(v, t, h, classOf) {
 				errs = append(errs, fmt.Errorf("store: ν(%s) = %s is not in dom(σ(%s)) = %s", o, v, c, t))
@@ -343,15 +422,13 @@ func (in *Instance) Stats() Stats {
 	}
 	methods := make(map[string]bool)
 	for l := in; l != nil; l = l.base {
-		for _, c := range l.class {
-			st.PerClass[c]++
-		}
 		for k := range l.method {
 			methods[k] = true
 		}
 	}
 	st.MethodCount = len(methods)
-	in.eachValue(func(_ object.OID, v object.Value) {
+	in.eachObject(func(_ object.OID, c string, v object.Value) {
+		st.PerClass[c]++
 		st.ValueBytes += len(object.Key(v))
 	})
 	in.eachRoot(func(g string, v object.Value) {

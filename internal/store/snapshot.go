@@ -23,44 +23,40 @@ const snapshotMagic = "sgmldb-snapshot 1"
 
 // Save writes the snapshot of inst (schema and data) to w. Method bodies
 // (μ) are code and are not serialised; they must be re-bound after Load.
+// Every line is built in one reused buffer.
 func Save(w io.Writer, inst *Instance) error {
 	s := inst.Schema()
-	if _, err := fmt.Fprintln(w, snapshotMagic); err != nil {
+	b := make([]byte, 0, 256)
+	b = append(b, snapshotMagic+"\n"...)
+	if _, err := w.Write(b); err != nil {
 		return err
 	}
-	var b strings.Builder
+	write := func() error {
+		b = append(b, '\n')
+		_, err := w.Write(b)
+		return err
+	}
 	for _, c := range s.Hierarchy().Classes() {
-		b.Reset()
-		b.WriteString("class ")
-		writeString(&b, c)
 		t, _ := s.Hierarchy().TypeOf(c)
-		b.WriteByte(' ')
-		encodeType(&b, t)
-		b.WriteByte('\n')
-		if _, err := io.WriteString(w, b.String()); err != nil {
+		b = appendString(append(b[:0], "class "...), c)
+		b = appendType(append(b, ' '), t)
+		if err := write(); err != nil {
 			return err
 		}
 		for _, p := range s.Hierarchy().Parents(c) {
-			b.Reset()
-			b.WriteString("inherits ")
-			writeString(&b, c)
-			b.WriteByte(' ')
-			writeString(&b, p)
-			b.WriteByte('\n')
-			if _, err := io.WriteString(w, b.String()); err != nil {
+			b = appendString(append(b[:0], "inherits "...), c)
+			b = appendString(append(b, ' '), p)
+			if err := write(); err != nil {
 				return err
 			}
 		}
 		for _, con := range s.Constraints(c) {
-			b.Reset()
-			b.WriteString("constraint ")
-			writeString(&b, c)
-			b.WriteByte(' ')
-			if err := encodeConstraint(&b, con); err != nil {
+			b = appendString(append(b[:0], "constraint "...), c)
+			var err error
+			if b, err = appendConstraint(append(b, ' '), con); err != nil {
 				return err
 			}
-			b.WriteByte('\n')
-			if _, err := io.WriteString(w, b.String()); err != nil {
+			if err := write(); err != nil {
 				return err
 			}
 		}
@@ -71,13 +67,9 @@ func Save(w io.Writer, inst *Instance) error {
 		if tt, ok := t.(object.TupleType); ok {
 			for _, f := range tt.Fields() {
 				if s.IsPrivate(c, f.Name) {
-					b.Reset()
-					b.WriteString("private ")
-					writeString(&b, c)
-					b.WriteByte(' ')
-					writeString(&b, f.Name)
-					b.WriteByte('\n')
-					if _, err := io.WriteString(w, b.String()); err != nil {
+					b = appendString(append(b[:0], "private "...), c)
+					b = appendString(append(b, ' '), f.Name)
+					if err := write(); err != nil {
 						return err
 					}
 				}
@@ -85,72 +77,56 @@ func Save(w io.Writer, inst *Instance) error {
 		}
 	}
 	for _, m := range s.Methods() {
-		b.Reset()
-		b.WriteString("method ")
-		writeString(&b, m.Class)
-		b.WriteByte(' ')
-		writeString(&b, m.Name)
-		b.WriteByte(' ')
-		b.WriteString(strconv.Itoa(len(m.Params)))
+		b = appendString(append(b[:0], "method "...), m.Class)
+		b = appendString(append(b, ' '), m.Name)
+		b = strconv.AppendInt(append(b, ' '), int64(len(m.Params)), 10)
 		for _, p := range m.Params {
-			b.WriteByte(' ')
-			encodeType(&b, p)
+			b = appendType(append(b, ' '), p)
 		}
-		b.WriteByte(' ')
+		b = append(b, ' ')
 		if m.Result != nil {
-			encodeType(&b, m.Result)
+			b = appendType(b, m.Result)
 		} else {
-			b.WriteByte('-')
+			b = append(b, '-')
 		}
-		b.WriteByte('\n')
-		if _, err := io.WriteString(w, b.String()); err != nil {
+		if err := write(); err != nil {
 			return err
 		}
 	}
 	for _, g := range s.Roots() {
 		t, _ := s.RootType(g)
-		b.Reset()
-		b.WriteString("rootdecl ")
-		writeString(&b, g)
-		b.WriteByte(' ')
-		encodeType(&b, t)
-		b.WriteByte('\n')
-		if _, err := io.WriteString(w, b.String()); err != nil {
+		b = appendString(append(b[:0], "rootdecl "...), g)
+		b = appendType(append(b, ' '), t)
+		if err := write(); err != nil {
 			return err
 		}
 	}
 	// Data: objects then roots.
-	for _, o := range inst.Objects() {
-		c, _ := inst.ClassOf(o)
-		v, _ := inst.Deref(o)
-		b.Reset()
-		b.WriteString("object ")
-		b.WriteString(strconv.FormatUint(uint64(o), 10))
-		b.WriteByte(' ')
-		writeString(&b, c)
-		b.WriteByte(' ')
-		encodeValue(&b, v)
-		b.WriteByte('\n')
-		if _, err := io.WriteString(w, b.String()); err != nil {
-			return err
+	var err error
+	inst.eachObject(func(o object.OID, c string, v object.Value) {
+		if err != nil {
+			return
 		}
+		b = strconv.AppendUint(append(b[:0], "object "...), uint64(o), 10)
+		b = appendString(append(b, ' '), c)
+		b = appendValue(append(b, ' '), v)
+		err = write()
+	})
+	if err != nil {
+		return err
 	}
 	for _, g := range s.Roots() {
 		v, ok := inst.Root(g)
 		if !ok {
 			continue
 		}
-		b.Reset()
-		b.WriteString("rootval ")
-		writeString(&b, g)
-		b.WriteByte(' ')
-		encodeValue(&b, v)
-		b.WriteByte('\n')
-		if _, err := io.WriteString(w, b.String()); err != nil {
+		b = appendString(append(b[:0], "rootval "...), g)
+		b = appendValue(append(b, ' '), v)
+		if err := write(); err != nil {
 			return err
 		}
 	}
-	_, err := fmt.Fprintln(w, "end")
+	_, err = io.WriteString(w, "end\n")
 	return err
 }
 
@@ -166,7 +142,6 @@ func Load(r io.Reader) (*Instance, error) {
 	}
 	schema := NewSchema()
 	inst := NewInstance(schema)
-	var maxOID object.OID
 	for {
 		line, err := readLine(br)
 		if err == io.EOF {
@@ -269,13 +244,13 @@ func Load(r io.Reader) (*Instance, error) {
 			if p.err != nil {
 				return nil, fmt.Errorf("store: bad object line: %w", p.err)
 			}
+			// Oids are dense and Save writes them ascending.
 			o := object.OID(id)
-			if o > maxOID {
-				maxOID = o
+			if o != inst.nextID {
+				return nil, fmt.Errorf("store: object %s out of sequence (want %s)", o, inst.nextID)
 			}
-			inst.class[o] = c
-			inst.extent[c] = append(inst.extent[c], o)
-			inst.values[o] = v
+			inst.create(o, c, v)
+			inst.nextID++
 		case "rootval":
 			g := p.str()
 			p.space()
@@ -290,7 +265,6 @@ func Load(r io.Reader) (*Instance, error) {
 			return nil, fmt.Errorf("store: unknown snapshot verb %q", verb)
 		}
 	}
-	inst.nextID = maxOID + 1
 	if err := schema.Check(); err != nil {
 		return nil, err
 	}
@@ -308,169 +282,173 @@ func readLine(r *bufio.Reader) (string, error) {
 	return strings.TrimRight(line, "\n"), nil
 }
 
-// writeString emits a length-prefixed string: <len>:<bytes>.
-func writeString(b *strings.Builder, s string) {
-	b.WriteString(strconv.Itoa(len(s)))
-	b.WriteByte(':')
-	b.WriteString(s)
+// appendString appends a length-prefixed string: <len>:<bytes>.
+func appendString(b []byte, s string) []byte {
+	b = strconv.AppendInt(b, int64(len(s)), 10)
+	b = append(b, ':')
+	return append(b, s...)
 }
 
-// encodeType emits a parseable type encoding.
-func encodeType(b *strings.Builder, t object.Type) {
+// appendType appends a parseable type encoding.
+func appendType(b []byte, t object.Type) []byte {
 	switch ty := t.(type) {
 	case object.AtomicType:
 		switch ty.K {
 		case object.TypeInt:
-			b.WriteString("ti")
+			b = append(b, "ti"...)
 		case object.TypeFloat:
-			b.WriteString("tf")
+			b = append(b, "tf"...)
 		case object.TypeString:
-			b.WriteString("ts")
+			b = append(b, "ts"...)
 		case object.TypeBool:
-			b.WriteString("tb")
+			b = append(b, "tb"...)
 		default:
 			// non-atomic kinds never label an AtomicType
 		}
 	case object.AnyType:
-		b.WriteString("ta")
+		b = append(b, "ta"...)
 	case object.ClassType:
-		b.WriteString("tc")
-		writeString(b, ty.Name)
+		b = append(b, "tc"...)
+		b = appendString(b, ty.Name)
 	case object.ListType:
-		b.WriteString("tl")
-		encodeType(b, ty.Elem)
+		b = append(b, "tl"...)
+		b = appendType(b, ty.Elem)
 	case object.SetType:
-		b.WriteString("tS")
-		encodeType(b, ty.Elem)
+		b = append(b, "tS"...)
+		b = appendType(b, ty.Elem)
 	case object.TupleType:
-		b.WriteString("tt")
-		b.WriteString(strconv.Itoa(ty.Len()))
-		b.WriteByte('{')
+		b = append(b, "tt"...)
+		b = strconv.AppendInt(b, int64(ty.Len()), 10)
+		b = append(b, '{')
 		for _, f := range ty.Fields() {
-			writeString(b, f.Name)
-			encodeType(b, f.Type)
+			b = appendString(b, f.Name)
+			b = appendType(b, f.Type)
 		}
-		b.WriteByte('}')
+		b = append(b, '}')
 	case object.UnionType:
-		b.WriteString("tu")
-		b.WriteString(strconv.Itoa(ty.Len()))
-		b.WriteByte('{')
+		b = append(b, "tu"...)
+		b = strconv.AppendInt(b, int64(ty.Len()), 10)
+		b = append(b, '{')
 		for _, a := range ty.Alts() {
-			writeString(b, a.Name)
-			encodeType(b, a.Type)
+			b = appendString(b, a.Name)
+			b = appendType(b, a.Type)
 		}
-		b.WriteByte('}')
+		b = append(b, '}')
 	default:
 		//lint:allow panic unreachable: the switch covers the closed object.Type set (enforced by sgmldbvet exhaustive)
 		panic(fmt.Sprintf("store: cannot encode type %T", t))
 	}
+	return b
 }
 
-// encodeValue emits a parseable value encoding.
-func encodeValue(b *strings.Builder, v object.Value) {
+// appendValue appends a parseable value encoding.
+func appendValue(b []byte, v object.Value) []byte {
 	switch x := v.(type) {
 	case nil, object.Nil:
-		b.WriteString("vn")
+		b = append(b, "vn"...)
 	case object.Int:
-		b.WriteString("vi")
-		b.WriteString(strconv.FormatInt(int64(x), 10))
-		b.WriteByte(';')
+		b = append(b, "vi"...)
+		b = strconv.AppendInt(b, int64(x), 10)
+		b = append(b, ';')
 	case object.Float:
-		b.WriteString("vf")
-		b.WriteString(strconv.FormatUint(math.Float64bits(float64(x)), 16))
-		b.WriteByte(';')
+		b = append(b, "vf"...)
+		b = strconv.AppendUint(b, math.Float64bits(float64(x)), 16)
+		b = append(b, ';')
 	case object.String_:
-		b.WriteString("vs")
-		writeString(b, string(x))
+		b = append(b, "vs"...)
+		b = appendString(b, string(x))
 	case object.Bool:
 		if x {
-			b.WriteString("vT")
+			b = append(b, "vT"...)
 		} else {
-			b.WriteString("vF")
+			b = append(b, "vF"...)
 		}
 	case object.OID:
-		b.WriteString("vo")
-		b.WriteString(strconv.FormatUint(uint64(x), 10))
-		b.WriteByte(';')
+		b = append(b, "vo"...)
+		b = strconv.AppendUint(b, uint64(x), 10)
+		b = append(b, ';')
 	case *object.Tuple:
-		b.WriteString("vt")
-		b.WriteString(strconv.Itoa(x.Len()))
-		b.WriteByte('{')
+		b = append(b, "vt"...)
+		b = strconv.AppendInt(b, int64(x.Len()), 10)
+		b = append(b, '{')
 		for i := 0; i < x.Len(); i++ {
 			f := x.At(i)
-			writeString(b, f.Name)
-			encodeValue(b, f.Value)
+			b = appendString(b, f.Name)
+			b = appendValue(b, f.Value)
 		}
-		b.WriteByte('}')
+		b = append(b, '}')
 	case *object.List:
-		b.WriteString("vl")
-		b.WriteString(strconv.Itoa(x.Len()))
-		b.WriteByte('{')
+		b = append(b, "vl"...)
+		b = strconv.AppendInt(b, int64(x.Len()), 10)
+		b = append(b, '{')
 		for i := 0; i < x.Len(); i++ {
-			encodeValue(b, x.At(i))
+			b = appendValue(b, x.At(i))
 		}
-		b.WriteByte('}')
+		b = append(b, '}')
 	case *object.Set:
-		b.WriteString("vS")
-		b.WriteString(strconv.Itoa(x.Len()))
-		b.WriteByte('{')
+		b = append(b, "vS"...)
+		b = strconv.AppendInt(b, int64(x.Len()), 10)
+		b = append(b, '{')
 		for i := 0; i < x.Len(); i++ {
-			encodeValue(b, x.At(i))
+			b = appendValue(b, x.At(i))
 		}
-		b.WriteByte('}')
+		b = append(b, '}')
 	case *object.Union_:
-		b.WriteString("vu")
-		writeString(b, x.Marker)
-		encodeValue(b, x.Value)
+		b = append(b, "vu"...)
+		b = appendString(b, x.Marker)
+		b = appendValue(b, x.Value)
 	default:
 		//lint:allow panic unreachable: the switch covers the closed object.Value set (enforced by sgmldbvet exhaustive)
 		panic(fmt.Sprintf("store: cannot encode value %T", v))
 	}
+	return b
 }
 
-// encodeConstraint emits a parseable constraint encoding.
-func encodeConstraint(b *strings.Builder, c Constraint) error {
+// appendConstraint appends a parseable constraint encoding.
+func appendConstraint(b []byte, c Constraint) ([]byte, error) {
 	switch con := c.(type) {
 	case NotNil:
-		b.WriteString("cn")
-		writeString(b, con.Attr)
+		b = append(b, "cn"...)
+		b = appendString(b, con.Attr)
 	case NotEmptyList:
-		b.WriteString("ce")
-		writeString(b, con.Attr)
+		b = append(b, "ce"...)
+		b = appendString(b, con.Attr)
 	case InSet:
-		b.WriteString("cs")
-		writeString(b, con.Attr)
-		b.WriteString(strconv.Itoa(len(con.Values)))
-		b.WriteByte('{')
+		b = append(b, "cs"...)
+		b = appendString(b, con.Attr)
+		b = strconv.AppendInt(b, int64(len(con.Values)), 10)
+		b = append(b, '{')
 		for _, v := range con.Values {
-			encodeValue(b, v)
+			b = appendValue(b, v)
 		}
-		b.WriteByte('}')
+		b = append(b, '}')
 	case OnAlt:
-		b.WriteString("ca")
-		writeString(b, con.Marker)
-		b.WriteString(strconv.Itoa(len(con.Inner)))
-		b.WriteByte('{')
+		b = append(b, "ca"...)
+		b = appendString(b, con.Marker)
+		b = strconv.AppendInt(b, int64(len(con.Inner)), 10)
+		b = append(b, '{')
 		for _, inner := range con.Inner {
-			if err := encodeConstraint(b, inner); err != nil {
-				return err
+			var err error
+			if b, err = appendConstraint(b, inner); err != nil {
+				return nil, err
 			}
 		}
-		b.WriteByte('}')
+		b = append(b, '}')
 	case AnyOf:
-		b.WriteString("co")
-		b.WriteString(strconv.Itoa(len(con.Alts)))
-		b.WriteByte('{')
+		b = append(b, "co"...)
+		b = strconv.AppendInt(b, int64(len(con.Alts)), 10)
+		b = append(b, '{')
 		for _, a := range con.Alts {
-			if err := encodeConstraint(b, a); err != nil {
-				return err
+			var err error
+			if b, err = appendConstraint(b, a); err != nil {
+				return nil, err
 			}
 		}
-		b.WriteByte('}')
+		b = append(b, '}')
 	default:
-		return fmt.Errorf("store: cannot encode constraint %T", c)
+		return nil, fmt.Errorf("store: cannot encode constraint %T", c)
 	}
-	return nil
+	return b, nil
 }
 
 // parser decodes the encodings above.

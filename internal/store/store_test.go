@@ -448,9 +448,7 @@ func TestSnapshotValueRoundTripProperty(t *testing.T) {
 	r := rand.New(rand.NewSource(5))
 	for i := 0; i < 2000; i++ {
 		v := genValue(r, 3)
-		var b strings.Builder
-		encodeValue(&b, v)
-		p := &parser{s: b.String()}
+		p := &parser{s: string(appendValue(nil, v))}
 		got := p.value()
 		if p.err != nil {
 			t.Fatalf("decode error for %s: %v", v, p.err)

@@ -3,6 +3,7 @@ package text
 import (
 	"bytes"
 	"fmt"
+	"math/bits"
 	"reflect"
 	"sync"
 	"testing"
@@ -173,4 +174,59 @@ func TestShardedCloneVersioning(t *testing.T) {
 	if got := c.Eval(MustWord("shared")); len(got) != 21 {
 		t.Errorf("clone 'shared' docs = %v, want the 20 cloned + 99", got)
 	}
+}
+
+// TestCloneTiersSegments publishes one document per version, as single
+// loads do, and checks that the segment list stays logarithmic, the
+// published versions stay frozen, and the segmented index answers and
+// encodes exactly like one built in a single version.
+func TestCloneTiersSegments(t *testing.T) {
+	const n = 200
+	flat := NewIndex()
+	ix := NewIndex()
+	var versions []*Index
+	for d := 0; d < n; d++ {
+		body := fmt.Sprintf("common w%d w%d tail%d", d%7, d%13, d)
+		if err := flat.Add(DocID(d), body); err != nil {
+			t.Fatal(err)
+		}
+		next := ix.Clone()
+		if err := next.Add(DocID(d), body); err != nil {
+			t.Fatal(err)
+		}
+		versions = append(versions, ix)
+		ix = next
+		if limit := bits.Len(uint(d+1)) + 1; len(ix.segs) > limit {
+			t.Fatalf("after %d versions: %d segments, want at most %d", d+1, len(ix.segs), limit)
+		}
+	}
+	if got, want := encode(t, ix), encode(t, flat); got != want {
+		t.Errorf("segmented encoding differs from a single version's:\n%s\nwant\n%s", got, want)
+	}
+	pattern, err := PatternExpr("w1.*")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range []Expr{MustWord("common"), MustWord("w3 w4"), pattern, NearExpr{A: "common", B: "tail5", Dist: 2}, Not(MustWord("w5"))} {
+		if got, want := ix.Eval(e), flat.Eval(e); !reflect.DeepEqual(got, want) {
+			t.Errorf("Eval(%v) = %v, want %v", e, got, want)
+		}
+	}
+	if ix.Size() != n || ix.VocabularySize() != flat.VocabularySize() || !reflect.DeepEqual(ix.Docs(), flat.Docs()) {
+		t.Errorf("Size %d, vocabulary %d, want %d, %d", ix.Size(), ix.VocabularySize(), n, flat.VocabularySize())
+	}
+	for d, v := range versions {
+		if v.Size() != d || len(v.Lookup("common")) != d {
+			t.Fatalf("version %d changed: %d documents", d, v.Size())
+		}
+	}
+}
+
+func encode(t *testing.T, ix *Index) string {
+	t.Helper()
+	var b bytes.Buffer
+	if err := ix.Encode(&b); err != nil {
+		t.Fatal(err)
+	}
+	return b.String()
 }

@@ -2,9 +2,10 @@ package text
 
 import (
 	"bufio"
+	"cmp"
 	"fmt"
 	"io"
-	"sort"
+	"slices"
 	"strconv"
 	"strings"
 )
@@ -19,52 +20,69 @@ import (
 const indexMagic = "sgmldb-textindex 1"
 
 // Encode writes the index in the checkpoint format. The checkpointer
-// serializes a published, immutable version.
+// serializes a published, immutable version. Every line is built in one
+// reused buffer, and a word's postings are gathered across the segments
+// into another, sorted only when they are not already ascending by doc.
 func (ix *Index) Encode(w io.Writer) error {
-	if _, err := fmt.Fprintln(w, indexMagic); err != nil {
+	line := make([]byte, 0, 256)
+	line = append(line, indexMagic+"\ndocs "...)
+	line = strconv.AppendInt(line, int64(ix.Size()), 10)
+	line = append(line, '\n')
+	if _, err := w.Write(line); err != nil {
 		return err
 	}
-	if _, err := fmt.Fprintf(w, "docs %d\n", len(ix.order)); err != nil {
-		return err
-	}
-	for _, d := range ix.order {
-		if _, err := fmt.Fprintf(w, "d %d\n", uint64(d)); err != nil {
-			return err
-		}
-	}
-	words := ix.vocabulary()
-	if _, err := fmt.Fprintf(w, "words %d\n", len(words)); err != nil {
-		return err
-	}
-	var b strings.Builder
-	for _, word := range words {
-		ps := append([]posting(nil), ix.vocab[word]...)
-		sort.Slice(ps, func(i, j int) bool { return ps[i].doc < ps[j].doc })
-		b.Reset()
-		b.WriteString("w ")
-		b.WriteString(strconv.Itoa(len(word)))
-		b.WriteByte(':')
-		b.WriteString(word)
-		b.WriteByte(' ')
-		b.WriteString(strconv.Itoa(len(ps)))
-		for _, p := range ps {
-			b.WriteByte(' ')
-			b.WriteString(strconv.FormatUint(uint64(p.doc), 10))
-			b.WriteByte(' ')
-			b.WriteString(strconv.Itoa(len(p.positions)))
-			for _, pos := range p.positions {
-				b.WriteByte(' ')
-				b.WriteString(strconv.Itoa(pos))
+	for _, s := range ix.segs {
+		for _, d := range s.order {
+			line = append(line[:0], "d "...)
+			line = strconv.AppendUint(line, uint64(d), 10)
+			line = append(line, '\n')
+			if _, err := w.Write(line); err != nil {
+				return err
 			}
 		}
-		b.WriteByte('\n')
-		if _, err := io.WriteString(w, b.String()); err != nil {
+	}
+	words := ix.sortedWords()
+	line = append(line[:0], "words "...)
+	line = strconv.AppendInt(line, int64(len(words)), 10)
+	line = append(line, '\n')
+	if _, err := w.Write(line); err != nil {
+		return err
+	}
+	var ps []posting
+	for _, word := range words {
+		ps = ps[:0]
+		for _, s := range ix.segs {
+			ps = append(ps, s.vocab[word]...)
+		}
+		if !slices.IsSortedFunc(ps, byDoc) {
+			slices.SortFunc(ps, byDoc)
+		}
+		line = append(line[:0], "w "...)
+		line = strconv.AppendInt(line, int64(len(word)), 10)
+		line = append(line, ':')
+		line = append(line, word...)
+		line = append(line, ' ')
+		line = strconv.AppendInt(line, int64(len(ps)), 10)
+		for _, p := range ps {
+			line = append(line, ' ')
+			line = strconv.AppendUint(line, uint64(p.doc), 10)
+			line = append(line, ' ')
+			line = strconv.AppendInt(line, int64(len(p.positions)), 10)
+			for _, pos := range p.positions {
+				line = append(line, ' ')
+				line = strconv.AppendInt(line, int64(pos), 10)
+			}
+		}
+		line = append(line, '\n')
+		if _, err := w.Write(line); err != nil {
 			return err
 		}
 	}
-	_, err := fmt.Fprintln(w, "end")
+	_, err := io.WriteString(w, "end\n")
 	return err
 }
+
+func byDoc(a, b posting) int { return cmp.Compare(a.doc, b.doc) }
 
 // DecodeIndex reads an index written by Encode. It reads exactly the
 // encoded section, so the reader may carry further data (the checkpoint
@@ -77,7 +95,7 @@ func DecodeIndex(r *bufio.Reader) (*Index, error) {
 	if line != indexMagic {
 		return nil, fmt.Errorf("text: not an index section (got %q)", line)
 	}
-	ix := NewIndex()
+	seg := newSegment()
 	nDocs, err := countLine(r, "docs")
 	if err != nil {
 		return nil, err
@@ -96,11 +114,11 @@ func DecodeIndex(r *bufio.Reader) (*Index, error) {
 			return nil, fmt.Errorf("text: bad doc id %q", id)
 		}
 		d := DocID(n)
-		if ix.docs[d] {
+		if seg.docs[d] {
 			return nil, fmt.Errorf("text: duplicate doc %d", d)
 		}
-		ix.docs[d] = true
-		ix.order = append(ix.order, d)
+		seg.docs[d] = true
+		seg.order = append(seg.order, d)
 	}
 	nWords, err := countLine(r, "words")
 	if err != nil {
@@ -111,7 +129,7 @@ func DecodeIndex(r *bufio.Reader) (*Index, error) {
 		if err != nil {
 			return nil, err
 		}
-		if err := ix.decodeWordLine(line); err != nil {
+		if err := seg.decodeWordLine(line); err != nil {
 			return nil, err
 		}
 	}
@@ -122,12 +140,12 @@ func DecodeIndex(r *bufio.Reader) (*Index, error) {
 	if line != "end" {
 		return nil, fmt.Errorf("text: index section missing end (got %q)", line)
 	}
-	return ix, nil
+	return &Index{segs: []*segment{seg}}, nil
 }
 
 // decodeWordLine parses one "w <len>:<word> <k> <doc> <npos> <pos...>…"
-// line into the index under construction.
-func (ix *Index) decodeWordLine(line string) error {
+// line into the segment under construction.
+func (seg *segment) decodeWordLine(line string) error {
 	rest, ok := strings.CutPrefix(line, "w ")
 	if !ok {
 		return fmt.Errorf("text: bad word line %q", line)
@@ -171,7 +189,7 @@ func (ix *Index) decodeWordLine(line string) error {
 		}
 		fields = fields[2+npos:]
 		doc := DocID(docN)
-		if !ix.docs[doc] {
+		if !seg.docs[doc] {
 			return fmt.Errorf("text: posting for undeclared doc %d", doc)
 		}
 		if j > 0 && doc <= ps[j-1].doc {
@@ -182,10 +200,10 @@ func (ix *Index) decodeWordLine(line string) error {
 	if len(fields) != 0 {
 		return fmt.Errorf("text: trailing data on word line %q", line)
 	}
-	if _, dup := ix.vocab[word]; dup {
+	if _, dup := seg.vocab[word]; dup {
 		return fmt.Errorf("text: duplicate word %q", word)
 	}
-	ix.vocab[word] = ps
+	seg.vocab[word] = ps
 	return nil
 }
 

@@ -41,6 +41,38 @@ func codecFixture(t testing.TB) *Index {
 	return ix
 }
 
+// TestEncodeOrdersPostingsByDoc pins the encoding of an index whose
+// documents were not added in ascending DocID order, across a Clone:
+// every word's postings are written by ascending doc, the documents in
+// insertion order.
+func TestEncodeOrdersPostingsByDoc(t *testing.T) {
+	ix := NewIndex()
+	if err := ix.Add(9, "beta alpha alpha"); err != nil {
+		t.Fatal(err)
+	}
+	c := ix.Clone()
+	for _, d := range []struct {
+		id   DocID
+		text string
+	}{{3, "alpha gamma"}, {5, "alpha"}} {
+		if err := c.Add(d.id, d.text); err != nil {
+			t.Fatal(err)
+		}
+	}
+	const want = "sgmldb-textindex 1\ndocs 3\nd 9\nd 3\nd 5\nwords 3\n" +
+		"w 5:alpha 3 3 1 0 5 1 0 9 2 1 2\n" +
+		"w 4:beta 1 9 1 0\n" +
+		"w 5:gamma 1 3 1 1\n" +
+		"end\n"
+	var buf bytes.Buffer
+	if err := c.Encode(&buf); err != nil {
+		t.Fatal(err)
+	}
+	if buf.String() != want {
+		t.Errorf("Encode = %q, want %q", buf.String(), want)
+	}
+}
+
 // TestIndexCodecRoundTrip encodes an index and decodes it back, checking
 // the exact bytes, documents, vocabulary, phrase and near evaluation —
 // the checkpoint path's fidelity requirement.
@@ -139,7 +171,7 @@ func FuzzDecodeIndex(f *testing.F) {
 		if err != nil {
 			t.Fatalf("re-encoded index does not decode: %v\n%q", err, first.String())
 		}
-		if !reflect.DeepEqual(again.Docs(), ix.Docs()) || !reflect.DeepEqual(again.vocab, ix.vocab) {
+		if !reflect.DeepEqual(again.Docs(), ix.Docs()) || !reflect.DeepEqual(again.segs, ix.segs) {
 			t.Fatalf("re-encoded index decodes differently:\n%q", first.String())
 		}
 		var second bytes.Buffer

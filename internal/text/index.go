@@ -2,6 +2,7 @@ package text
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"sync/atomic"
 
@@ -34,57 +35,122 @@ type posting struct {
 // contains expressions (boolean combinations of patterns) and near
 // predicates without scanning document text.
 //
-// An Index follows the same discipline as a store instance: it is built
-// by one writer, then published and never written again. A published
-// index needs no locks — any number of goroutines may read it (Lookup,
-// Eval, Docs, Encode, …) and Clone it at once. A writer derives the next
-// version by cloning the published index, Adding the new documents to
-// the clone and publishing the clone, so queries pinned to the old index
-// never observe a half-applied batch. Add and Clone must not run
-// concurrently on the same index.
+// An Index is a short list of segments, the segmented inverted file of
+// the XML IR literature: each segment maps words to postings for its own
+// documents, and every read (Lookup, Eval, Has, Docs, Encode, …) reads
+// across all of them. An Index follows the same discipline as a store
+// instance: it is built by one writer, then published and never written
+// again. A published index needs no locks — any number of goroutines may
+// read it and Clone it at once. A writer derives the next version by
+// cloning the published index, Adding the new documents to the clone and
+// publishing the clone, so queries pinned to the old index never observe
+// a half-applied batch. Add and Clone must not run concurrently on the
+// same index.
+//
+// A new version shares every segment of the old one by pointer, and Add
+// writes only a private tail segment, so a commit's cost does not depend
+// on the corpus size. Clone keeps the segment list short by merging, on a
+// size-tiered schedule: each posting is copied O(log N) times over its
+// life, not once per version.
 type Index struct {
-	vocab map[string][]posting // word -> postings, one per document, in insertion order
-	docs  map[DocID]bool
-	order []DocID // insertion order
+	// segs holds the segments, oldest (and largest) first. Only tail,
+	// when set, is ever written, and it is the last of segs.
+	segs []*segment
+	tail *segment
 	// sorted caches the vocabulary in order for pattern scans. Readers
 	// build it lazily (redundantly, if they race: each builds the same
-	// slice); Add resets it when a word enters the vocabulary.
+	// slice); Add resets it when a word enters the tail segment.
 	sorted atomic.Pointer[[]string]
 }
 
-// NewIndex returns an empty index.
-func NewIndex() *Index {
-	return &Index{
-		vocab: make(map[string][]posting),
-		docs:  make(map[DocID]bool),
-	}
+// segment is the inverted file of a run of documents. The documents of
+// the segments of one index are disjoint.
+type segment struct {
+	vocab map[string][]posting // word -> postings, one per document, in insertion order
+	docs  map[DocID]bool
+	order []DocID // insertion order
 }
+
+func newSegment() *segment {
+	return &segment{vocab: make(map[string][]posting), docs: make(map[DocID]bool)}
+}
+
+// NewIndex returns an empty index.
+func NewIndex() *Index { return &Index{} }
 
 // Clone returns an independently mutable copy of the index, and only
 // reads its receiver, so a published index may be cloned by several
-// writers at once. The copy shares every posting slice with the
-// receiver, clipped to its length: the clone's first append to a word
-// reallocates, so neither side ever writes memory the other can read.
-// That is what makes per-load index versions affordable: the writer
-// clones, Adds the new documents, and publishes the clone, while readers
-// pinned to the original keep a stable view.
+// writers at once. The copy shares the receiver's segments and writes a
+// tail segment of its own, created by its first Add. The receiver's tail
+// is the one segment the receiver could still write, so the copy takes
+// it over as a copy — merged with the newest shared segments when the
+// tiering calls for it. That is what makes per-load index versions
+// affordable: the writer clones, Adds the new documents, and publishes
+// the clone, while readers pinned to the original keep a stable view.
+//
+// The tiering keeps segment sizes, counted in documents, strictly
+// decreasing from the oldest: the receiver's tail is merged with the
+// newest segments below it as long as the merged run has grown to the
+// size of the next one down. A run of N single-document clones therefore
+// holds at most log₂N+1 segments, like the bits of a binary counter.
 func (ix *Index) Clone() *Index {
 	if err := fpClone.Hit(); err != nil {
 		//lint:allow panic injected faults escalate to panics here (no error return); contained at the facade boundary
 		panic(err)
 	}
-	c := &Index{
-		vocab: make(map[string][]posting, len(ix.vocab)),
-		docs:  make(map[DocID]bool, len(ix.docs)),
-		order: ix.order[:len(ix.order):len(ix.order)],
+	n := len(ix.segs)
+	keep := n // ix.segs[:keep] are shared as they are
+	if ix.tail != nil {
+		keep--
+		size := len(ix.tail.order)
+		for keep > 0 && size >= len(ix.segs[keep-1].order) {
+			keep--
+			size += len(ix.segs[keep].order)
+		}
 	}
-	for w, ps := range ix.vocab {
-		c.vocab[w] = ps[:len(ps):len(ps)]
-	}
-	for d := range ix.docs {
-		c.docs[d] = true
+	c := &Index{segs: make([]*segment, keep, keep+2)}
+	copy(c.segs, ix.segs[:keep])
+	if keep < n {
+		c.segs = append(c.segs, merge(ix.segs[keep:]))
 	}
 	return c
+}
+
+// merge builds one segment holding the documents of segs, in order. Its
+// posting lists are sized exactly; the position lists are shared, since
+// no posting's positions change once its document is added.
+func merge(segs []*segment) *segment {
+	docs := 0
+	for _, s := range segs {
+		docs += len(s.order)
+	}
+	out := &segment{
+		vocab: make(map[string][]posting, len(segs[0].vocab)),
+		docs:  make(map[DocID]bool, docs),
+		order: make([]DocID, 0, docs),
+	}
+	for i, s := range segs {
+		out.order = append(out.order, s.order...)
+		for d := range s.docs {
+			out.docs[d] = true
+		}
+		for w, ps := range s.vocab {
+			if _, done := out.vocab[w]; done {
+				continue
+			}
+			// First seen in segment i: collect the word from there on.
+			k := len(ps)
+			for _, later := range segs[i+1:] {
+				k += len(later.vocab[w])
+			}
+			merged := make([]posting, 0, k)
+			for _, t := range segs[i:] {
+				merged = append(merged, t.vocab[w]...)
+			}
+			out.vocab[w] = merged
+		}
+	}
+	return out
 }
 
 // Add indexes the text of one document. A document is indexed once: Add
@@ -94,13 +160,18 @@ func (ix *Index) Add(doc DocID, text string) error {
 	if err := fpAdd.Hit(); err != nil {
 		return err
 	}
-	if ix.docs[doc] {
+	if ix.Has(doc) {
 		return fmt.Errorf("text: document %d is already indexed", doc)
 	}
-	ix.docs[doc] = true
-	ix.order = append(ix.order, doc)
-	for _, t := range Tokenize(text) {
-		ps, seen := ix.vocab[t.Word]
+	if ix.tail == nil {
+		ix.tail = newSegment()
+		ix.segs = append(ix.segs, ix.tail)
+	}
+	t := ix.tail
+	t.docs[doc] = true
+	t.order = append(t.order, doc)
+	for _, tok := range Tokenize(text) {
+		ps, seen := t.vocab[tok.Word]
 		if !seen {
 			ix.sorted.Store(nil)
 		}
@@ -109,32 +180,56 @@ func (ix *Index) Add(doc DocID, text string) error {
 		// can only have been appended by this call, into memory no other
 		// version reads.
 		if n := len(ps); n > 0 && ps[n-1].doc == doc {
-			ps[n-1].positions = append(ps[n-1].positions, t.Pos)
+			ps[n-1].positions = append(ps[n-1].positions, tok.Pos)
 		} else {
-			ix.vocab[t.Word] = append(ps, posting{doc: doc, positions: []int{t.Pos}})
+			t.vocab[tok.Word] = append(ps, posting{doc: doc, positions: []int{tok.Pos}})
 		}
 	}
 	return nil
 }
 
 // Has reports whether the document is indexed.
-func (ix *Index) Has(doc DocID) bool { return ix.docs[doc] }
+func (ix *Index) Has(doc DocID) bool {
+	for _, s := range ix.segs {
+		if s.docs[doc] {
+			return true
+		}
+	}
+	return false
+}
 
 // Size reports the number of indexed documents.
-func (ix *Index) Size() int { return len(ix.docs) }
+func (ix *Index) Size() int {
+	n := 0
+	for _, s := range ix.segs {
+		n += len(s.order)
+	}
+	return n
+}
 
 // VocabularySize reports the number of distinct words.
-func (ix *Index) VocabularySize() int { return len(ix.vocab) }
+func (ix *Index) VocabularySize() int { return len(ix.sortedWords()) }
 
 // Docs returns all indexed documents in insertion order.
-func (ix *Index) Docs() []DocID { return append([]DocID(nil), ix.order...) }
+func (ix *Index) Docs() []DocID {
+	out := make([]DocID, 0, ix.Size())
+	for _, s := range ix.segs {
+		out = append(out, s.order...)
+	}
+	return out
+}
 
 // Lookup returns the documents containing the word, ascending.
 func (ix *Index) Lookup(word string) []DocID {
-	ps := ix.vocab[word]
-	out := make([]DocID, len(ps))
-	for i, p := range ps {
-		out[i] = p.doc
+	n := 0
+	for _, s := range ix.segs {
+		n += len(s.vocab[word])
+	}
+	out := make([]DocID, 0, n)
+	for _, s := range ix.segs {
+		for _, p := range s.vocab[word] {
+			out = append(out, p.doc)
+		}
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
 	return out
@@ -144,8 +239,10 @@ func (ix *Index) Lookup(word string) []DocID {
 // literals are looked up directly and skip the scan.
 func (ix *Index) matchingWords(p *Pattern) []string {
 	if lit, ok := p.Literal(); ok {
-		if _, present := ix.vocab[lit]; present {
-			return []string{lit}
+		for _, s := range ix.segs {
+			if _, present := s.vocab[lit]; present {
+				return []string{lit}
+			}
 		}
 		return nil
 	}
@@ -171,12 +268,18 @@ func (ix *Index) sortedWords() []string {
 
 // vocabulary returns the index's words in order, uncached.
 func (ix *Index) vocabulary() []string {
-	ws := make([]string, 0, len(ix.vocab))
-	for w := range ix.vocab {
-		ws = append(ws, w)
+	n := 0
+	for _, s := range ix.segs {
+		n += len(s.vocab)
+	}
+	ws := make([]string, 0, n)
+	for _, s := range ix.segs {
+		for w := range s.vocab {
+			ws = append(ws, w)
+		}
 	}
 	sort.Strings(ws)
-	return ws
+	return slices.Compact(ws)
 }
 
 // Eval answers a contains expression from the index: the set of documents
@@ -236,9 +339,11 @@ func (ix *Index) eval(expr Expr) map[DocID]bool {
 	case NotExpr:
 		inner := ix.eval(e.E)
 		out := map[DocID]bool{}
-		for d := range ix.docs {
-			if !inner[d] {
-				out[d] = true
+		for _, s := range ix.segs {
+			for _, d := range s.order {
+				if !inner[d] {
+					out[d] = true
+				}
 			}
 		}
 		return out
@@ -252,8 +357,10 @@ func (ix *Index) eval(expr Expr) map[DocID]bool {
 // docsWith returns the set of documents containing the word.
 func (ix *Index) docsWith(word string) map[DocID]bool {
 	out := map[DocID]bool{}
-	for _, p := range ix.vocab[word] {
-		out[p.doc] = true
+	for _, s := range ix.segs {
+		for _, p := range s.vocab[word] {
+			out[p.doc] = true
+		}
 	}
 	return out
 }
@@ -262,10 +369,11 @@ func (ix *Index) docsWith(word string) map[DocID]bool {
 // positions. The position lists are the index's own: callers only read
 // them.
 func (ix *Index) occurrences(word string) map[DocID][]int {
-	ps := ix.vocab[word]
-	out := make(map[DocID][]int, len(ps))
-	for _, p := range ps {
-		out[p.doc] = p.positions
+	out := make(map[DocID][]int)
+	for _, s := range ix.segs {
+		for _, p := range s.vocab[word] {
+			out[p.doc] = p.positions
+		}
 	}
 	return out
 }

@@ -328,7 +328,7 @@ func TestReAddKeepsPositions(t *testing.T) {
 	if got := ix.Lookup("gamma"); len(got) != 0 {
 		t.Errorf("gamma = %v, want none", got)
 	}
-	if got := ix.vocab["beta"][0].positions; !reflect.DeepEqual(got, []int{1}) {
+	if got := ix.segs[0].vocab["beta"][0].positions; !reflect.DeepEqual(got, []int{1}) {
 		t.Errorf("beta positions = %v, want [1]", got)
 	}
 }
